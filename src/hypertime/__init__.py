@@ -8,6 +8,8 @@ discovering periods from residual spectra, and comparing the resulting
 predictors against simple baselines on held-out data.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     BaselineConfig,
     FremenPredictor,
@@ -24,7 +26,6 @@ from .clustering import (
     GaussianComponent,
     MixtureModel,
     detect_instability,
-    em_fit,
     em_fit_stable,
     km_fit,
     kmeans_init,
@@ -34,7 +35,6 @@ from .dataset import (
     EVENT,
     VALUED,
     Dataset,
-    Measurement,
     SpatialStats,
     load_csv,
     save_csv,
@@ -48,7 +48,6 @@ from .evaluation import (
     PairResult,
     SweepResult,
     grid_count,
-    histogram_l1,
     pairwise_ttests,
     per_cell_baseline,
     rmse,
@@ -80,8 +79,6 @@ from .projection import (
     DimensionLayout,
     HypertimeProjection,
     assemble,
-    extend_vectors,
-    project_time,
     project_times,
 )
 from .spectral import (
@@ -98,79 +95,7 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineConfig",
-    "BuildConfig",
-    "BuildStep",
-    "ClusterCountSelection",
-    "ComparisonReport",
-    "DAY_SECONDS",
-    "Dataset",
-    "DimensionLayout",
-    "EVENT",
-    "EvaluationGrid",
-    "FitConfig",
-    "FitLog",
-    "FremenPredictor",
-    "GaussianComponent",
-    "GridSpec",
-    "HistPredictor",
-    "HypertimeModel",
-    "HypertimeProjection",
-    "Measurement",
-    "MeanPredictor",
-    "MixtureModel",
-    "PairResult",
-    "ResidualSeries",
-    "SpatialStats",
-    "SpectrumResult",
-    "SweepResult",
-    "TrainingWindow",
-    "VALUED",
-    "WEEK_SECONDS",
-    "amplitude",
-    "assemble",
-    "build",
-    "build_event",
-    "calibrate_gamma",
-    "default_candidates",
-    "density",
-    "detect_instability",
-    "em_fit",
-    "em_fit_stable",
-    "event_residual_grid",
-    "extend_vectors",
-    "fremen_predictor",
-    "grid_count",
-    "hist_predictor",
-    "histogram_l1",
-    "km_fit",
-    "kmeans_init",
-    "load_csv",
-    "load_model",
-    "make_baseline",
-    "mean_predictor",
-    "mixed_distance",
-    "model_error",
-    "model_from_dict",
-    "model_to_dict",
-    "pairwise_ttests",
-    "per_cell_baseline",
-    "predict_cell_count",
-    "predict_counts",
-    "predict_mean",
-    "project_time",
-    "project_times",
-    "prominent_period",
-    "residuals",
-    "rmse",
-    "save_csv",
-    "save_model",
-    "select_cluster_count",
-    "spectral_sum",
-    "spectrum",
-    "split_by_time",
-    "standardize",
-    "sweep",
-    "__version__",
-]
+# The public API is every name imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType)) + ["__version__"]

@@ -18,10 +18,11 @@ from .baselines import BaselineConfig, fremen_predictor, hist_predictor, \
     mean_predictor
 from .clustering import FitConfig
 from .dataset import EVENT, VALUED, load_csv, split_by_time
-from .evaluation import GridSpec, grid_count, pairwise_ttests, rmse, sweep, \
+from .evaluation import grid_count, pairwise_ttests, rmse, sweep, \
     per_cell_baseline
 from .model import BuildConfig, build, build_event, load_model, \
-    predict_cell_count, predict_counts, predict_mean, density, save_model
+    predict_cell_count, predict_counts, predict_mean, density, save_model, \
+    training_grid
 from .spectral import ResidualSeries, default_candidates, spectrum
 
 _DEFAULTS = {
@@ -234,9 +235,7 @@ def cmd_predict(args, config) -> int:
     clamp = _parse_clamp(_resolve(args, config, "clamp"))
     coords = queries.coords if queries.spatial_dim else None
     if model.mode == VALUED:
-        preds = np.atleast_1d(predict_mean(model, coords, queries.times))
-        if clamp is not None:
-            preds = np.clip(preds, clamp[0], clamp[1])
+        preds = _clamped(predict_mean(model, coords, queries.times), clamp)
     else:
         use_cells = args.grid_spatial is not None or args.grid_temporal is not None
         if use_cells:
@@ -355,20 +354,7 @@ def _evaluate_valued(args, config, train, folds):
     return per_fold, parameters, []
 
 
-def _event_grid_for(window, fold, spatial_edge, temporal_edge):
-    hi = np.where(window.spatial_hi > window.spatial_lo, window.spatial_hi,
-                  window.spatial_lo + spatial_edge)
-    return GridSpec.from_cell_size(
-        window.spatial_lo, hi,
-        float(fold.times.min()), float(fold.times.max()),
-        spatial_edge, temporal_edge, expand=False,
-    )
-
-
 def _evaluate_event(args, config, train, folds):
-    backend = _resolve(args, config, "backend")
-    if backend not in ("em", "km"):
-        raise CliError(f"unknown backend {backend!r}")
     spatial_edge = _resolve(args, config, "grid_spatial", float)
     temporal_edge = _resolve(args, config, "grid_temporal", float)
     cfg = _build_config(args, config, EVENT)
@@ -377,7 +363,9 @@ def _evaluate_event(args, config, train, folds):
                                     cfg.n_candidates)
 
     head, tail = _validation_split(train)
-    val_spec = _event_grid_for(model.window, tail, spatial_edge, temporal_edge)
+    val_spec = training_grid(model.window, float(tail.times.min()),
+                             float(tail.times.max()), spatial_edge,
+                             temporal_edge)
     val_counts = grid_count(tail, val_spec).observed
 
     def baseline_factory(kind):
@@ -399,7 +387,7 @@ def _evaluate_event(args, config, train, folds):
     best_fremen = sweep(head, tail, baseline_factory("fremen"), fremen_range,
                         scorer=grid_scorer).best
 
-    hyt_name = f"HyT-{backend.upper()}"
+    hyt_name = f"HyT-{cfg.fit.backend.upper()}"
     methods = {
         hyt_name: None,
         "Mean": BaselineConfig(kind="mean"),
@@ -417,7 +405,8 @@ def _evaluate_event(args, config, train, folds):
         tes = _parse_float_list(temporal_edges, "temporal_edges")
         edge_pairs = [(a, b) for a in ses for b in tes]
     for fi, fold in enumerate(folds):
-        spec = _event_grid_for(model.window, fold, spatial_edge, temporal_edge)
+        span = float(fold.times.min()), float(fold.times.max())
+        spec = training_grid(model.window, *span, spatial_edge, temporal_edge)
         observed = grid_count(fold, spec).observed
         predictions = {hyt_name: predict_counts(model, spec)}
         for name, bc in methods.items():
@@ -429,7 +418,7 @@ def _evaluate_event(args, config, train, folds):
             per_fold[name].append(
                 rmse(predictions[name].reshape(-1), observed.reshape(-1)))
         for se, te in edge_pairs:
-            hspec = _event_grid_for(model.window, fold, se, te)
+            hspec = training_grid(model.window, *span, se, te)
             hobs = grid_count(fold, hspec).observed
             hpred = predict_counts(model, hspec)
             heatmaps.append((fi, se, te, hspec, hobs, hpred))

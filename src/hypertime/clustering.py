@@ -1,19 +1,18 @@
 """Gaussian mixture fitting over mixed linear/circular vector spaces.
 
-Two fitting routes produce the same :class:`MixtureModel` structure: a
-plain EM run seeded by farthest-point initialization (`em_fit`), and a
-k-means pass under a mixed metric followed by EM refinement (`km_fit`).
-Both are wrapped by `em_fit_stable`, which watches the covariance
-spectra for collapse (a component shrinking onto a few points or onto a
-lower-dimensional sheet), retries with fresh seeds, and as a last
-resort constrains covariances to diagonal matrices.
+Two fitting routes produce the same :class:`MixtureModel` structure: EM
+seeded by farthest-point initialization (`em_fit_stable`), and a k-means
+pass under a mixed metric followed by EM refinement (`km_fit`).  Both
+watch the covariance spectra for collapse (a component shrinking onto a
+few points or onto a lower-dimensional sheet), retry with fresh seeds,
+and as a last resort constrain covariances to diagonal matrices.
 
 Distances mix two geometries: value and spatial coordinates compare by
 Euclidean distance, while each circular (cos, sin) pair compares by
 cosine dissimilarity so that phases a full period apart coincide.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -400,14 +399,6 @@ def _km_init(points, layout, cfg, attempt, diagonal):
                                   seed=[cfg.seed, attempt])
     return _hard_moments(points, assign, cfg.n_clusters, cfg.eig_floor,
                          centers, diagonal)
-
-
-def em_fit(points, layout: DimensionLayout, cfg: FitConfig) -> MixtureModel:
-    """One EM run from farthest-point seeding (no restarts)."""
-    points = _check_points(points, layout, cfg)
-    params = _default_init(points, layout, cfg, attempt=0, diagonal=False)
-    params, trace = _em_loop(points, params, cfg, diagonal=False)
-    return _package(params, layout, trace, restarts=0, fallback=False)
 
 
 def detect_instability(model: MixtureModel, floor: float,

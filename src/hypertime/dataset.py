@@ -8,21 +8,13 @@ count/density models; everything downstream branches on ``Dataset.mode``.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 VALUED = "valued"
 EVENT = "event"
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One record: time, spatial coordinates, optional scalar value."""
-
-    t: float
-    x: tuple[float, ...]
-    a: float | None = None
 
 
 class Dataset:
@@ -86,18 +78,6 @@ class Dataset:
             raise ValueError("empty dataset has no duration")
         return float(self.times.max() - self.times.min())
 
-    @property
-    def records(self) -> list[Measurement]:
-        vals = self.values
-        return [
-            Measurement(
-                float(self.times[i]),
-                tuple(float(c) for c in self.coords[i]),
-                None if vals is None else float(vals[i]),
-            )
-            for i in range(len(self))
-        ]
-
     def __repr__(self):
         return (
             f"Dataset(mode={self.mode!r}, n={len(self)}, "
@@ -160,31 +140,32 @@ def load_csv(path, schema=None) -> Dataset:
     if not data_rows:
         raise ValueError("no data rows")
 
-    times = np.empty(len(data_rows))
-    values = None if a_idx is None else np.empty(len(data_rows))
-    coords = np.empty((len(data_rows), len(x_idxs)))
+    # Table columns: t, then a (valued data only), then x1..xd.
+    cols = [t_idx] + ([] if a_idx is None else [a_idx]) + x_idxs
+    kinds = (["timestamp"] + ([] if a_idx is None else ["value"])
+             + ["spatial coordinate"] * len(x_idxs))
+    table = np.empty((len(data_rows), len(cols)))
     for k, (line_no, row) in enumerate(data_rows):
         if len(row) != width:
             raise ValueError(
                 f"line {line_no}: expected {width} fields, got {len(row)}"
             )
         try:
-            times[k] = float(row[t_idx])
-            if a_idx is not None:
-                values[k] = float(row[a_idx])
-            for d, xi in enumerate(x_idxs):
-                coords[k, d] = float(row[xi])
+            fields = [float(row[i]) for i in cols]
         except ValueError:
             raise ValueError(f"line {line_no}: non-numeric field") from None
-        if not np.isfinite(times[k]):
-            raise ValueError(f"line {line_no}: non-finite timestamp")
+        if not all(map(math.isfinite, fields)):
+            kind = next(kind for kind, v in zip(kinds, fields)
+                        if not math.isfinite(v))
+            raise ValueError(f"line {line_no}: non-finite {kind}")
+        table[k] = fields
 
     # Stable sort keeps the file order of duplicate timestamps.
-    order = np.argsort(times, kind="stable")
+    order = np.argsort(table[:, 0], kind="stable")
     return Dataset(
-        times[order],
-        coords[order],
-        None if values is None else values[order],
+        table[order, 0],
+        table[order, len(cols) - len(x_idxs):],
+        None if a_idx is None else table[order, 1],
     )
 
 

@@ -3,7 +3,7 @@
 Valued models are scored by RMSE against held-out readings.  Event
 models are scored on spatio-temporal count grids: observed counts come
 from half-open binning of test events, predictions from whichever model
-is under test, and grids compare via an L1 bin-difference.  Method
+is under test, and grids compare by RMSE over their cells.  Method
 rankings across folds are settled by paired two-sided t-tests.
 """
 
@@ -68,13 +68,6 @@ class GridSpec:
         object.__setattr__(self, "n_spatial", n)
 
     @classmethod
-    def from_box(cls, spatial_lo, spatial_hi, t_lo, t_hi,
-                 n_spatial, n_temporal) -> "GridSpec":
-        """Exact cover of the box with the given cell counts."""
-        return cls(spatial_lo, spatial_hi, n_spatial, float(t_lo),
-                   float(t_hi), int(n_temporal))
-
-    @classmethod
     def from_cell_size(cls, spatial_lo, spatial_hi, t_lo, t_hi,
                        spatial_edge, temporal_edge,
                        expand: bool = True) -> "GridSpec":
@@ -131,16 +124,6 @@ class GridSpec:
     def temporal_centers(self) -> np.ndarray:
         return self.t_lo + (np.arange(self.n_temporal) + 0.5) * self.temporal_edge
 
-    def compatible_with(self, other: "GridSpec") -> bool:
-        return (
-            self.n_spatial == other.n_spatial
-            and self.n_temporal == other.n_temporal
-            and np.allclose(self.spatial_lo, other.spatial_lo)
-            and np.allclose(self.spatial_hi, other.spatial_hi)
-            and np.isclose(self.t_lo, other.t_lo)
-            and np.isclose(self.t_hi, other.t_hi)
-        )
-
 
 @dataclass
 class EvaluationGrid:
@@ -187,24 +170,6 @@ def grid_count(events: Dataset, spec: GridSpec) -> EvaluationGrid:
         counts = np.bincount(flat, minlength=spec.n_cells).astype(float)
         counts = counts.reshape(spec.shape)
     return EvaluationGrid(spec, counts)
-
-
-def histogram_l1(a: EvaluationGrid, b: EvaluationGrid,
-                 field_name: str = "observed") -> float:
-    """Sum of absolute bin differences between two grids.
-
-    Both grids must share the same spec; `field_name` selects whether
-    the observed or the predicted arrays are compared.
-    """
-    if not a.spec.compatible_with(b.spec):
-        raise ValueError("grid specifications differ")
-    if field_name not in ("observed", "predicted"):
-        raise ValueError("field_name must be 'observed' or 'predicted'")
-    va = getattr(a, field_name)
-    vb = getattr(b, field_name)
-    if va is None or vb is None:
-        raise ValueError(f"{field_name} values missing on one grid")
-    return float(np.abs(va - vb).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +309,19 @@ def sweep(train: Dataset, validation: Dataset, factory, params,
 
 
 def per_cell_baseline(train_events: Dataset, spec: GridSpec,
-                      cfg: BaselineConfig, candidates=None,
-                      train_window: tuple[float, float] | None = None) -> EvaluationGrid:
+                      cfg: BaselineConfig, candidates=None) -> EvaluationGrid:
     """Fill grid predictions from an independent baseline per spatial cell.
 
     For every spatial cell, the training events are binned over the
     training period (same spatial layout and temporal edge as `spec`),
     the configured baseline is fitted to that per-bin count series, and
     its predictions at the grid's temporal bin centers become p_g.
-    `train_window` defaults to the span of the training events.
+    The training period is the span of the training events.
     """
     if train_events.mode != "event":
         raise ValueError("per_cell_baseline expects event data")
-    if train_window is None:
-        t0 = float(train_events.times.min())
-        t1 = float(train_events.times.max())
-    else:
-        t0, t1 = float(train_window[0]), float(train_window[1])
+    t0 = float(train_events.times.min())
+    t1 = float(train_events.times.max())
     n_train_bins = max(int(np.ceil((t1 - t0) / spec.temporal_edge - _EDGE_EPS)), 1)
     train_spec = GridSpec(
         spec.spatial_lo, spec.spatial_hi, spec.n_spatial,

@@ -26,7 +26,7 @@ import numpy as np
 from .clustering import (FitConfig, FitLog, GaussianComponent, MixtureModel,
                          em_fit_stable, km_fit)
 from .dataset import EVENT, VALUED, Dataset, SpatialStats, standardize
-from .evaluation import EvaluationGrid, GridSpec, grid_count
+from .evaluation import GridSpec, grid_count
 from .projection import (DimensionLayout, HypertimeProjection, assemble,
                          project_times)
 from .spectral import (WEEK_SECONDS, ResidualSeries, default_candidates,
@@ -34,6 +34,9 @@ from .spectral import (WEEK_SECONDS, ResidualSeries, default_candidates,
 
 MODEL_FORMAT = "hypertime-model"
 MODEL_VERSION = 1
+# Event gamma integrates the density on cells this many times finer, per
+# axis, than the configured event grid.
+_CALIBRATION_REFINE = 2
 
 
 @dataclass
@@ -44,14 +47,12 @@ class BuildConfig:
     max_h: int = 5
     longest_period: float = WEEK_SECONDS
     n_candidates: int = 168
-    standardize: bool = True
     # None resolves per backend: the km route picks its cluster count
     # automatically, the em route takes it from `fit.n_clusters`.
     auto_clusters: bool | None = None
     cluster_cap: int = 10
     event_spatial_bin: float = 0.5
     event_temporal_bin: float = 1800.0
-    calibration_refine: int = 2
 
     def __post_init__(self):
         if self.max_h < 0:
@@ -64,8 +65,6 @@ class BuildConfig:
             raise ValueError("cluster_cap must be >= 1")
         if self.event_spatial_bin <= 0 or self.event_temporal_bin <= 0:
             raise ValueError("event grid bins must be positive")
-        if self.calibration_refine < 1:
-            raise ValueError("calibration_refine must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -240,19 +239,28 @@ def _calibrate_valued(model: HypertimeModel, train: Dataset):
     return gamma, False
 
 
-def _calibration_spec(model: HypertimeModel, cfg: BuildConfig) -> GridSpec:
-    w = model.window
-    hi = np.where(w.spatial_hi > w.spatial_lo, w.spatial_hi,
-                  w.spatial_lo + cfg.event_spatial_bin)
-    r = cfg.calibration_refine
+def training_grid(window: TrainingWindow, t_lo: float, t_hi: float,
+                  spatial_edge: float, temporal_edge: float,
+                  refine: int = 1) -> GridSpec:
+    """Grid over the window's spatial box and the time span [t_lo, t_hi].
+
+    Cells have edges ``spatial_edge / refine`` and ``temporal_edge /
+    refine``, shrunk to divide the box evenly.  A spatial extent of zero
+    width (every training point on one coordinate) is widened to one
+    unrefined `spatial_edge`.
+    """
+    hi = np.where(window.spatial_hi > window.spatial_lo, window.spatial_hi,
+                  window.spatial_lo + spatial_edge)
     return GridSpec.from_cell_size(
-        w.spatial_lo, hi, w.t_lo, w.t_hi,
-        cfg.event_spatial_bin / r, cfg.event_temporal_bin / r, expand=False,
+        window.spatial_lo, hi, t_lo, t_hi,
+        spatial_edge / refine, temporal_edge / refine, expand=False,
     )
 
 
 def _calibrate_event(model: HypertimeModel, n_events: int, cfg: BuildConfig):
-    spec = _calibration_spec(model, cfg)
+    w = model.window
+    spec = training_grid(w, w.t_lo, w.t_hi, cfg.event_spatial_bin,
+                         cfg.event_temporal_bin, _CALIBRATION_REFINE)
     mass = float(_event_cell_means(model, spec).sum()) * spec.cell_volume
     if not np.isfinite(mass) or mass <= 0.0:
         warnings.warn("degenerate event mass; gamma fixed to 1")
@@ -376,28 +384,25 @@ def event_residual_grid(model: HypertimeModel, events: Dataset,
 # build loop
 
 
-def _resolve_stats(train: Dataset, cfg: BuildConfig) -> SpatialStats:
-    if cfg.standardize and train.spatial_dim:
-        return SpatialStats.from_dataset(train)
-    return SpatialStats.identity(train.spatial_dim)
-
-
-def _window_of(train: Dataset) -> TrainingWindow:
+def _prepare(train: Dataset, cfg: BuildConfig):
+    """Spatial stats, standardized data, training window and candidate
+    periods shared by the build loop and cluster-count selection."""
     if train.spatial_dim:
+        stats = SpatialStats.from_dataset(train)
         lo, hi = train.coords.min(axis=0), train.coords.max(axis=0)
     else:
+        stats = SpatialStats.identity(0)
         lo = hi = np.empty(0)
-    return TrainingWindow(lo, hi, float(train.times.min()),
-                          float(train.times.max()))
-
-
-def _reference_spec(window: TrainingWindow, cfg: BuildConfig) -> GridSpec:
-    hi = np.where(window.spatial_hi > window.spatial_lo, window.spatial_hi,
-                  window.spatial_lo + cfg.event_spatial_bin)
-    return GridSpec.from_cell_size(
-        window.spatial_lo, hi, window.t_lo, window.t_hi,
-        cfg.event_spatial_bin, cfg.event_temporal_bin, expand=False,
-    )
+    window = TrainingWindow(lo, hi, float(train.times.min()),
+                            float(train.times.max()))
+    try:
+        candidates = default_candidates(train.duration, cfg.longest_period,
+                                        cfg.n_candidates)
+    except ValueError:
+        # Data shorter than every candidate period: nothing periodic is
+        # resolvable, so the search stops at h = 0.
+        candidates = []
+    return stats, standardize(train, stats), window, candidates
 
 
 def _fit_mixture(vectors, layout, fitcfg: FitConfig) -> MixtureModel:
@@ -409,19 +414,10 @@ def _fit_mixture(vectors, layout, fitcfg: FitConfig) -> MixtureModel:
 def _run_build(train: Dataset, cfg: BuildConfig,
                fitcfg: FitConfig) -> HypertimeModel:
     mode = train.mode
-    stats = _resolve_stats(train, cfg)
-    ds = standardize(train, stats)
-    window = _window_of(train)
-    try:
-        candidates = default_candidates(train.duration, cfg.longest_period,
-                                        cfg.n_candidates)
-    except ValueError:
-        # Data shorter than every candidate period: nothing periodic is
-        # resolvable, so the search stops at h = 0.
-        candidates = []
+    stats, ds, window, candidates = _prepare(train, cfg)
     if mode == EVENT:
-        ref_spec = _reference_spec(window, cfg)
-        observed = grid_count(train, ref_spec).observed
+        ref_spec = training_grid(window, window.t_lo, window.t_hi,
+                                 cfg.event_spatial_bin, cfg.event_temporal_bin)
     proj = HypertimeProjection()
     best = None
     log: list[BuildStep] = []
@@ -437,11 +433,7 @@ def _run_build(train: Dataset, cfg: BuildConfig,
         else:
             cand.gamma, cand.gamma_fallback = _calibrate_event(
                 cand, len(train), cfg)
-            predicted = predict_counts(cand, ref_spec)
-            eps = (predicted - observed).reshape(-1)
-            reps = int(np.prod(ref_spec.n_spatial)) if ref_spec.spatial_dim else 1
-            series = ResidualSeries(
-                np.tile(ref_spec.temporal_centers, reps), eps)
+            _, series = event_residual_grid(cand, train, ref_spec)
         err = float(np.sqrt(np.mean(series.values ** 2)))
         if best is not None and err >= best.training_error:
             log.append(BuildStep(proj.h, err, period_added, kept=False))
@@ -511,15 +503,8 @@ def select_cluster_count(train: Dataset,
     if train.mode != VALUED:
         raise ValueError("cluster-count selection needs valued data")
     cap = min(cfg.cluster_cap, len(train))
-    stats = _resolve_stats(train, cfg)
-    ds = standardize(train, stats)
-    window = _window_of(train)
+    stats, ds, window, candidates = _prepare(train, cfg)
     vectors, layout = assemble(ds, HypertimeProjection())
-    try:
-        candidates = default_candidates(train.duration, cfg.longest_period,
-                                        cfg.n_candidates)
-    except ValueError:
-        candidates = []
 
     def score(n: int) -> float:
         fitcfg = replace(cfg.fit, n_clusters=n, backend="km")

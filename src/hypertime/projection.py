@@ -79,14 +79,6 @@ class DimensionLayout:
         """All indices except the value dimension."""
         return np.arange(int(self.has_value), self.width)
 
-    def extended(self) -> "DimensionLayout":
-        return DimensionLayout(self.has_value, self.spatial_dim, self.n_periods + 1)
-
-
-def project_time(t: float, projection: HypertimeProjection) -> np.ndarray:
-    """Map one timestamp to its 2h circular coordinates."""
-    return project_times(np.asarray([t], dtype=float), projection)[0]
-
 
 def project_times(times, projection: HypertimeProjection) -> np.ndarray:
     """Vectorized projection; returns shape (l, 2h)."""
@@ -97,22 +89,6 @@ def project_times(times, projection: HypertimeProjection) -> np.ndarray:
         out[:, 2 * k] = np.cos(phase)
         out[:, 2 * k + 1] = np.sin(phase)
     return out
-
-
-def extend_vectors(vectors, times, period: float) -> np.ndarray:
-    """Append the (cos, sin) pair of `period` to each vector.
-
-    `vectors` has shape (l, D) and `times` shape (l,); the result has
-    shape (l, D + 2).  An empty input stays empty.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if vectors.ndim != 2:
-        raise ValueError("vectors must be two-dimensional")
-    if vectors.shape[0] != times.shape[0]:
-        raise ValueError("vectors and times lengths differ")
-    extra = project_times(times, HypertimeProjection((period,)))
-    return np.hstack([vectors, extra])
 
 
 def assemble(dataset: Dataset, projection: HypertimeProjection):

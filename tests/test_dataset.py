@@ -6,7 +6,6 @@ import pytest
 from hypertime import (
     Dataset,
     EVENT,
-    Measurement,
     SpatialStats,
     VALUED,
     load_csv,
@@ -22,20 +21,6 @@ def make_valued(n=10, d=2, seed=0):
     return Dataset(t, rng.normal(0, 1, (n, d)), rng.uniform(0, 1, n))
 
 
-def test_measurement_fields():
-    m = Measurement(5.0, (1.0, 2.0), 0.25)
-    assert m.t == 5.0
-    assert m.x == (1.0, 2.0)
-    assert m.a == 0.25
-    with pytest.raises(AttributeError):
-        m.t = 6.0
-
-
-def test_measurement_event_has_no_value():
-    m = Measurement(5.0, (1.0,), None)
-    assert m.a is None
-
-
 def test_dataset_modes():
     t = np.array([0.0, 1.0])
     x = np.zeros((2, 1))
@@ -48,11 +33,6 @@ def test_dataset_basic_properties():
     assert len(ds) == 8
     assert ds.spatial_dim == 3
     assert ds.duration == pytest.approx(ds.times[-1] - ds.times[0])
-    recs = ds.records
-    assert len(recs) == 8
-    assert recs[0].t == ds.times[0]
-    assert recs[0].x == tuple(ds.coords[0])
-    assert recs[0].a == ds.values[0]
 
 
 def test_dataset_rejects_bad_shapes():
@@ -127,6 +107,20 @@ def test_load_csv_row_errors_name_lines(tmp_path):
         load_csv(p)
     p.write_text("t,a\n1,2\n3,zap\n")
     with pytest.raises(ValueError, match="line 3"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("text", [
+    "t,a,x1\n1,2,0\nnan,2,0\n",
+    "t,a,x1\n1,2,0\n3,nan,0\n",
+    "t,a,x1\n1,2,0\n3,inf,0\n",
+    "t,a,x1\n1,2,0\n3,2,-inf\n",
+    "t,x1,x2\n1,0,0\n3,0,nan\n",
+], ids=["t-nan", "a-nan", "a-inf", "x1-inf", "x2-nan"])
+def test_load_csv_non_finite_fields_name_lines(tmp_path, text):
+    p = tmp_path / "nf.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="line 3: non-finite"):
         load_csv(p)
 
 

@@ -12,7 +12,6 @@ from hypertime import (
     EvaluationGrid,
     GridSpec,
     grid_count,
-    histogram_l1,
     pairwise_ttests,
     per_cell_baseline,
     rmse,
@@ -21,8 +20,8 @@ from hypertime import (
 
 
 def unit_grid(n_spatial=(4,), n_temporal=5):
-    return GridSpec.from_box(np.zeros(len(n_spatial)), np.ones(len(n_spatial)),
-                             0.0, 100.0, n_spatial, n_temporal)
+    return GridSpec(np.zeros(len(n_spatial)), np.ones(len(n_spatial)),
+                    n_spatial, 0.0, 100.0, n_temporal)
 
 
 def test_rmse_hand_value():
@@ -53,7 +52,7 @@ def test_grid_spec_geometry():
 
 
 def test_grid_spec_no_spatial_dims():
-    spec = GridSpec.from_box(np.zeros(0), np.zeros(0), 0.0, 10.0, (), 5)
+    spec = GridSpec(np.zeros(0), np.zeros(0), (), 0.0, 10.0, 5)
     assert spec.spatial_dim == 0
     assert spec.cell_volume == pytest.approx(2.0)
     assert spec.shape == (5,)
@@ -61,11 +60,11 @@ def test_grid_spec_no_spatial_dims():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec.from_box([0.0], [0.0], 0.0, 1.0, (2,), 2)
+        GridSpec([0.0], [0.0], (2,), 0.0, 1.0, 2)
     with pytest.raises(ValueError):
-        GridSpec.from_box([0.0], [1.0], 1.0, 1.0, (2,), 2)
+        GridSpec([0.0], [1.0], (2,), 1.0, 1.0, 2)
     with pytest.raises(ValueError):
-        GridSpec.from_box([0.0], [1.0], 0.0, 1.0, (0,), 2)
+        GridSpec([0.0], [1.0], (0,), 0.0, 1.0, 2)
     with pytest.raises(ValueError):
         GridSpec.from_cell_size([0.0], [1.0], 0.0, 1.0, -0.5, 1.0)
 
@@ -93,14 +92,6 @@ def test_from_cell_size_no_expand_keeps_box():
     assert spec.shape == (4, 4)
     np.testing.assert_allclose(spec.spatial_hi, [1.0])
     assert spec.t_hi == pytest.approx(100.0)
-
-
-def test_compatible_with():
-    a = unit_grid()
-    b = unit_grid()
-    c = unit_grid(n_temporal=6)
-    assert a.compatible_with(b)
-    assert not a.compatible_with(c)
 
 
 def test_grid_count_places_events():
@@ -145,30 +136,6 @@ def test_evaluation_grid_shape_checked():
         EvaluationGrid(spec, np.zeros((3, 5)))
     with pytest.raises(ValueError):
         EvaluationGrid(spec, np.zeros(spec.shape), np.zeros((4, 4)))
-
-
-def test_histogram_l1():
-    spec = unit_grid()
-    a = EvaluationGrid(spec, np.zeros(spec.shape))
-    b = EvaluationGrid(spec, np.ones(spec.shape))
-    assert histogram_l1(a, b) == pytest.approx(spec.n_cells)
-    assert histogram_l1(a, a) == 0.0
-
-
-def test_histogram_l1_field_selector():
-    spec = unit_grid()
-    a = EvaluationGrid(spec, np.zeros(spec.shape), np.ones(spec.shape))
-    b = EvaluationGrid(spec, np.zeros(spec.shape), np.zeros(spec.shape))
-    assert histogram_l1(a, b, field_name="predicted") == pytest.approx(
-        spec.n_cells)
-    assert histogram_l1(a, b) == 0.0
-
-
-def test_histogram_l1_incompatible_specs():
-    a = EvaluationGrid(unit_grid(), np.zeros((4, 5)))
-    b = EvaluationGrid(unit_grid(n_temporal=6), np.zeros((4, 6)))
-    with pytest.raises(ValueError):
-        histogram_l1(a, b)
 
 
 def test_pairwise_ttests_hand_check():
@@ -275,7 +242,7 @@ def test_per_cell_baseline_stationary_rate():
     rng = np.random.default_rng(42)
     t_train = np.sort(rng.uniform(0, 1000.0, 400))
     train = Dataset(t_train, np.full((400, 1), 0.5), None)
-    spec = GridSpec.from_box([0.0], [1.0], 1000.0, 2000.0, (1,), 10)
+    spec = GridSpec([0.0], [1.0], (1,), 1000.0, 2000.0, 10)
     grid = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
     assert grid.predicted.shape == spec.shape
     expect = 400 / 1000.0 * spec.temporal_edge
@@ -288,7 +255,7 @@ def test_per_cell_baseline_splits_cells():
     t = np.sort(rng.uniform(0, 1000.0, 330))
     x = np.concatenate([np.full(300, 0.25), np.full(30, 0.75)])
     train = Dataset(t, x[:, None], None)
-    spec = GridSpec.from_box([0.0], [1.0], 1000.0, 1500.0, (2,), 5)
+    spec = GridSpec([0.0], [1.0], (2,), 1000.0, 1500.0, 5)
     grid = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
     assert grid.predicted[0].mean() > 5 * grid.predicted[1].mean()
 
@@ -297,7 +264,7 @@ def test_per_cell_baseline_hist_kind_runs():
     rng = np.random.default_rng(3)
     t = np.sort(rng.uniform(0, 4 * 86400.0, 500))
     train = Dataset(t, np.full((500, 1), 0.5), None)
-    spec = GridSpec.from_box([0.0], [1.0], 4 * 86400.0, 5 * 86400.0, (1,), 24)
+    spec = GridSpec([0.0], [1.0], (1,), 4 * 86400.0, 5 * 86400.0, 24)
     cfg = BaselineConfig(kind="hist", n_intervals=24)
     grid = per_cell_baseline(train, spec, cfg)
     assert np.all(np.isfinite(grid.predicted))

@@ -72,9 +72,10 @@ def quadrature_mean(model, x, t):
     comp = model.mixture.components[0]
     sd = np.sqrt(comp.covariance[0, 0])
     grid = np.linspace(comp.mean[0] - 14 * sd, comp.mean[0] + 14 * sd, 8001)
-    dens = np.array([
-        density(model, a=float(a), x=x, t=t) for a in grid
-    ])
+    # One array call over the whole grid (density is row-wise).
+    n = grid.size
+    coords = None if x is None else np.tile(np.asarray(x, float), (n, 1))
+    dens = density(model, a=grid, x=coords, t=np.full(n, t))
     return np.trapezoid(grid * dens, grid)
 
 
@@ -364,7 +365,7 @@ def test_predict_cell_count_matches_grid(event_model):
     bounds = [(2.0, 2.5), (1.0, 1.5)]
     tb = (w.t_lo, w.t_lo + 1800.0)
     single = predict_cell_count(event_model, bounds, tb, subsample=2)
-    spec = GridSpec.from_box([2.0, 1.0], [2.5, 1.5], tb[0], tb[1], (1, 1), 1)
+    spec = GridSpec([2.0, 1.0], [2.5, 1.5], (1, 1), tb[0], tb[1], 1)
     grid_val = predict_counts(event_model, spec, subsample=2)[0, 0, 0]
     assert single == pytest.approx(grid_val, rel=1e-12)
 
@@ -396,6 +397,40 @@ def test_event_residual_grid(event_model, event_data):
         (grid.predicted - grid.observed).reshape(-1), atol=1e-12)
     assert series.times.shape == (spec.n_cells,)
     assert set(np.unique(series.times)).issubset(set(spec.temporal_centers))
+
+
+def test_build_event_zero_width_extent():
+    # Every event shares x2, so the training window is flat along it.  The
+    # build widens that extent to spatial_lo + event_spatial_bin, both for
+    # the residual grid (cells of the configured size) and for the gamma
+    # calibration grid (cells refined by two).
+    ev = pedestrian_events(3, 900, 3)
+    flat = Dataset(ev.times,
+                   np.column_stack([ev.coords[:, 0], np.full(len(ev), 1.0)]),
+                   None)
+    cfg = BuildConfig(fit=FitConfig(n_clusters=2, seed=42, eig_floor=0.05),
+                      max_h=1, auto_clusters=False, event_spatial_bin=0.5,
+                      event_temporal_bin=3600.0)
+    model = build_event(flat, cfg)
+    w = model.window
+    assert w.spatial_hi[1] == w.spatial_lo[1] == 1.0
+    assert not model.gamma_fallback
+    assert model.gamma == pytest.approx(0.00986986573083579, rel=1e-6)
+
+    def grid(widen, refine):
+        hi = np.array([w.spatial_hi[0], w.spatial_lo[1] + widen])
+        return GridSpec.from_cell_size(w.spatial_lo, hi, w.t_lo, w.t_hi,
+                                       0.5 / refine, 3600.0 / refine,
+                                       expand=False)
+
+    # gamma makes the count over the widened, refined grid equal the events
+    total = predict_counts(model, grid(0.5, 2)).sum()
+    assert total == pytest.approx(len(flat), rel=1e-12)
+    assert abs(predict_counts(model, grid(0.25, 2)).sum() - len(flat)) > 10
+    # the training error is the residual RMS on the widened, unrefined grid
+    _, series = event_residual_grid(model, flat, grid(0.5, 1))
+    rms = float(np.sqrt(np.mean(series.values ** 2)))
+    assert model.training_error == pytest.approx(rms, rel=1e-12)
 
 
 def test_event_gamma_identity(event_model, event_data):

@@ -8,12 +8,15 @@ from hypertime import (
     DimensionLayout,
     HypertimeProjection,
     assemble,
-    extend_vectors,
-    project_time,
     project_times,
 )
 
 DAY = 86400.0
+
+
+def project_time(t, proj):
+    """One timestamp through the batch projection."""
+    return project_times(np.array([t]), proj)[0]
 
 
 def test_project_time_quarters():
@@ -52,6 +55,11 @@ def test_project_times_matches_scalar():
     for i, ti in enumerate(t):
         np.testing.assert_allclose(block[i], project_time(ti, proj),
                                    atol=1e-12)
+        for k, period in enumerate(proj.periods):
+            phase = 2 * np.pi * ti / period
+            np.testing.assert_allclose(block[i, 2 * k:2 * k + 2],
+                                       (np.cos(phase), np.sin(phase)),
+                                       atol=1e-12)
 
 
 def test_projection_validation():
@@ -93,30 +101,31 @@ def test_layout_indices_event():
 
 
 def test_layout_extension():
-    lay = DimensionLayout(True, 1, 0)
-    ext = lay.extended()
+    # extending the projection by one period adds one (cos, sin) pair
+    ds = Dataset(np.array([0.0, DAY / 4]), np.zeros((2, 1)),
+                 np.array([0.5, 0.25]))
+    _, lay = assemble(ds, HypertimeProjection())
+    _, ext = assemble(ds, HypertimeProjection().extended(DAY))
     assert ext.n_periods == 1
     assert ext.width == lay.width + 2
     assert lay.n_periods == 0
 
 
 def test_extend_vectors():
-    vecs = np.arange(6.0).reshape(3, 2)
-    t = np.array([0.0, DAY / 4, DAY / 2])
-    out = extend_vectors(vecs, t, DAY)
+    # the new period's pair is appended after the existing columns
+    ds = Dataset(np.array([0.0, DAY / 4, DAY / 2]),
+                 np.arange(6.0).reshape(3, 2), None)
+    vecs, _ = assemble(ds, HypertimeProjection())
+    out, _ = assemble(ds, HypertimeProjection().extended(DAY))
     assert out.shape == (3, 4)
     np.testing.assert_array_equal(out[:, :2], vecs)
     np.testing.assert_allclose(out[:, 2], [1.0, 0.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(out[:, 3], [0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_extend_vectors_length_mismatch():
-    with pytest.raises(ValueError):
-        extend_vectors(np.zeros((3, 2)), np.zeros(4), DAY)
-
-
 def test_extend_vectors_empty():
-    out = extend_vectors(np.zeros((0, 2)), np.zeros(0), DAY)
+    ds = Dataset(np.zeros(0), np.zeros((0, 2)), None)
+    out, _ = assemble(ds, HypertimeProjection((DAY,)))
     assert out.shape == (0, 4)
 
 
