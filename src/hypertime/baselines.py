@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import Dataset, VALUED
 from .spectral import (DAY_SECONDS, ResidualSeries, default_candidates,
-                       spectrum)
+                       ranked_candidates, spectrum)
 
 
 @dataclass(frozen=True)
@@ -115,28 +115,69 @@ def hist_predictor(train: Dataset, n: int) -> HistPredictor:
     return HistPredictor(n, means, global_mean)
 
 
-def fremen_predictor(train: Dataset, m: int, candidates=None) -> FremenPredictor:
-    _require_valued(train)
+def _fremen_candidates(duration: float, m: int, candidates) -> list[float]:
     if m < 0:
         raise ValueError("m must be >= 0")
     if candidates is None:
-        candidates = default_candidates(train.duration)
+        candidates = default_candidates(duration)
     candidates = [float(c) for c in candidates]
     if m > len(candidates):
         raise ValueError("m exceeds the number of candidate periods")
+    return candidates
+
+
+def _coefficients(times, centered, kept) -> np.ndarray:
+    """The c_k of each row of `centered` (n, l) at its kept periods (n, m).
+
+    The cos/sin of each distinct kept period are computed once for all
+    rows.
+    """
+    length = times.shape[0]
+    coefs = np.empty(kept.shape, dtype=complex)
+    for period in np.unique(kept):
+        phase = 2.0 * np.pi * times / period
+        cos, sin = np.cos(phase), np.sin(phase)
+        for r, k in zip(*np.nonzero(kept == period)):
+            re = float(np.dot(centered[r], cos)) / length
+            im = -float(np.dot(centered[r], sin)) / length
+            coefs[r, k] = complex(re, im)
+    return coefs
+
+
+def fremen_predictor(train: Dataset, m: int, candidates=None) -> FremenPredictor:
+    _require_valued(train)
+    candidates = _fremen_candidates(train.duration, m, candidates)
     mean = float(train.values.mean())
     if m == 0:
         return FremenPredictor(mean, np.empty(0), np.empty(0, dtype=complex))
     series = ResidualSeries(train.times, train.values)
-    kept = [p for p, _ in spectrum(series, candidates).entries[:m]]
+    kept = np.asarray([p for p, _ in spectrum(series, candidates).entries[:m]])
     centered = train.values - mean
-    coefs = []
-    for period in kept:
-        phase = 2.0 * np.pi * train.times / period
-        re = float(np.dot(centered, np.cos(phase))) / len(train)
-        im = -float(np.dot(centered, np.sin(phase))) / len(train)
-        coefs.append(complex(re, im))
-    return FremenPredictor(mean, np.asarray(kept), np.asarray(coefs))
+    coefs = _coefficients(train.times, centered[None, :], kept[None, :])
+    return FremenPredictor(mean, kept, coefs[0])
+
+
+def fremen_predictors(times, rows, m: int,
+                      candidates=None) -> list[FremenPredictor]:
+    """One FreMEn fit per row of `rows` (n, l), all on the shared `times`.
+
+    All rows are ranked over one phase table (`ranked_candidates`), and
+    each kept period's cos/sin are computed once for all rows, so every
+    row gets exactly the fit ``fremen_predictor`` makes of it.
+    """
+    times = np.asarray(times, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    candidates = _fremen_candidates(float(times.max() - times.min()), m,
+                                    candidates)
+    means = rows.mean(axis=1)
+    if m == 0:
+        return [FremenPredictor(mean, np.empty(0), np.empty(0, dtype=complex))
+                for mean in means]
+    centered = rows - means[:, None]
+    kept = ranked_candidates(times, centered, candidates)[:, :m]
+    periods = np.asarray(candidates)[kept]
+    coefs = _coefficients(times, centered, periods)
+    return [FremenPredictor(*fit) for fit in zip(means, periods, coefs)]
 
 
 def make_baseline(train: Dataset, cfg: BaselineConfig, candidates=None):

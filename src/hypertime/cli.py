@@ -8,6 +8,7 @@ in any flag not given on the command line; explicit flags win.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -147,6 +148,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_all(a) -> list[str]:
+    """`_fmt` of every element of `a`, in C order."""
+    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+
+
 def _write_text(path, text, force):
     if os.path.exists(path) and not force:
         raise CliError(f"{path} exists; pass --force to overwrite")
@@ -232,7 +238,7 @@ def cmd_predict(args, config) -> int:
         raise CliError(
             f"queries have {queries.spatial_dim} spatial dims, "
             f"model expects {model.layout.spatial_dim}")
-    clamp = _parse_clamp(_resolve(args, config, "clamp"))
+    clamp = _valued_clamp(args, config, model.mode)
     coords = queries.coords if queries.spatial_dim else None
     if model.mode == VALUED:
         preds = _clamped(predict_mean(model, coords, queries.times), clamp)
@@ -276,6 +282,14 @@ def _validation_split(train):
         return train, train
 
 
+def _valued_clamp(args, config, mode):
+    """The --clamp bounds; only valued predictions can be clamped."""
+    text = _resolve(args, config, "clamp")
+    if text is not None and mode != VALUED:
+        raise CliError(f"--clamp applies to valued data only, not {mode} data")
+    return _parse_clamp(text)
+
+
 def _clamped(preds, clamp):
     preds = np.atleast_1d(preds)
     if clamp is None:
@@ -283,8 +297,7 @@ def _clamped(preds, clamp):
     return np.clip(preds, clamp[0], clamp[1])
 
 
-def _evaluate_valued(args, config, train, folds):
-    clamp = _parse_clamp(_resolve(args, config, "clamp"))
+def _evaluate_valued(args, config, train, folds, clamp):
     seed = _resolve(args, config, "seed", int)
     head, tail = _validation_split(train)
     candidates = default_candidates(
@@ -436,14 +449,12 @@ def _dump_heatmaps(heatmaps, out_dir, force):
         lines = ["# " + " ".join(
             [f"x{d + 1}" for d in range(spec.spatial_dim)] + ["t", "observed",
                                                               "predicted"])]
-        centers = [spec.spatial_centers(d) for d in range(spec.spatial_dim)]
-        tc = spec.temporal_centers
-        for idx in np.ndindex(spec.shape):
-            row = [_fmt(centers[d][idx[d]]) for d in range(spec.spatial_dim)]
-            row.append(_fmt(tc[idx[-1]]))
-            row.append(_fmt(obs[idx]))
-            row.append(_fmt(pred[idx]))
-            lines.append(" ".join(row))
+        axes = [spec.spatial_centers(d) for d in range(spec.spatial_dim)]
+        axes.append(spec.temporal_centers)
+        # One string per axis value; cells run in C order like obs/pred.
+        cells = itertools.product(*map(_fmt_all, axes))
+        lines += [" ".join((*cell, o, p)) for cell, o, p
+                  in zip(cells, _fmt_all(obs), _fmt_all(pred))]
         name = f"heatmap_fold{fi}_s{se:g}_t{te:g}.dat"
         path = os.path.join(out_dir, name)
         _write_text(path, "\n".join(lines) + "\n", force)
@@ -466,6 +477,7 @@ def cmd_evaluate(args, config) -> int:
         if fold.mode != train.mode:
             raise CliError(f"{path}: fold mode {fold.mode} differs from training")
         folds.append(fold)
+    clamp = _valued_clamp(args, config, train.mode)
     run_ttests = len(folds) >= 2
     if not run_ttests:
         print("warning: a single test fold cannot support t-tests; "
@@ -484,7 +496,7 @@ def cmd_evaluate(args, config) -> int:
 
     if train.mode == VALUED:
         per_fold, parameters, heatmaps = _evaluate_valued(
-            args, config, train, folds)
+            args, config, train, folds, clamp)
     else:
         per_fold, parameters, heatmaps = _evaluate_event(
             args, config, train, folds)
@@ -579,7 +591,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_data_flags(pr)
     _add_grid_flags(pr)
     pr.add_argument("--model", help="trained model path")
-    pr.add_argument("--clamp", help="clamp predictions to lo:hi")
+    pr.add_argument("--clamp", help="clamp valued predictions to lo:hi")
 
     ev = sub.add_parser("evaluate",
                         help="compare against baselines on held-out folds")
@@ -587,7 +599,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_build_flags(ev)
     _add_grid_flags(ev)
     ev.add_argument("--test", action="append", help="held-out fold CSV")
-    ev.add_argument("--clamp", help="clamp predictions to lo:hi")
+    ev.add_argument("--clamp", help="clamp valued predictions to lo:hi")
     ev.add_argument("--out-dir", dest="out_dir")
     ev.add_argument("--force", action="store_true")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _sstats
 
-from .baselines import BaselineConfig, make_baseline
+from .baselines import BaselineConfig, fremen_predictors, make_baseline
 from .dataset import Dataset
 
 _EDGE_EPS = 1e-12
@@ -316,7 +316,9 @@ def per_cell_baseline(train_events: Dataset, spec: GridSpec,
     training period (same spatial layout and temporal edge as `spec`),
     the configured baseline is fitted to that per-bin count series, and
     its predictions at the grid's temporal bin centers become p_g.
-    The training period is the span of the training events.
+    The training period is the span of the training events.  FreMEn
+    cells share one phase table for their spectra, and each kept period's
+    cos/sin serve every cell (`fremen_predictors`).
     """
     if train_events.mode != "event":
         raise ValueError("per_cell_baseline expects event data")
@@ -333,8 +335,12 @@ def per_cell_baseline(train_events: Dataset, spec: GridSpec,
     flat_counts = counts.reshape(-1, train_spec.n_temporal)
     flat_pred = predicted.reshape(-1, spec.n_temporal)
     query = spec.temporal_centers
-    for c in range(flat_counts.shape[0]):
-        series = Dataset(centers, values=flat_counts[c])
-        predictor = make_baseline(series, cfg, candidates)
+    if cfg.kind == "fremen":
+        predictors = fremen_predictors(centers, flat_counts, cfg.m_components,
+                                       candidates)
+    else:
+        predictors = [make_baseline(Dataset(centers, values=row), cfg,
+                                    candidates) for row in flat_counts]
+    for c, predictor in enumerate(predictors):
         flat_pred[c] = np.atleast_1d(predictor.predict(None, query))
     return EvaluationGrid(spec, np.zeros(spec.shape), predicted)

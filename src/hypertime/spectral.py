@@ -6,9 +6,13 @@ candidate period T over a series (t_i, e_i) is
     (1/l) * | sum_i (e_i - mean(e)) * exp(-j*2*pi*t_i/T) |
 
 accumulated through real cos/sin sums, so no resampling or FFT grid is
-involved and duplicate timestamps are legal.  Candidate periods default
-to the integer fractions of one week, which covers the daily/weekly
-structure typical of human-driven environments.
+involved and duplicate timestamps are legal.  The amplitude is linear in
+the values, so the centred values of repeated timestamps are summed
+before the phase sums, which then run over the distinct times only: an
+event residual series repeats each temporal bin once per spatial cell.
+A series without repeated timestamps passes through unchanged.
+Candidate periods default to the integer fractions of one week, which
+covers the daily/weekly structure typical of human-driven environments.
 """
 
 from dataclasses import dataclass, field
@@ -75,14 +79,49 @@ def default_candidates(duration: float, longest: float = WEEK_SECONDS,
     return periods
 
 
+def _phases(times, periods) -> np.ndarray:
+    """Phase matrix 2*pi*t/T, (l, K); cos/sin sums over it avoid
+    complex temporaries."""
+    return (2.0 * np.pi) * np.outer(times, 1.0 / np.asarray(periods))
+
+
+def _ranking(amps, periods) -> np.ndarray:
+    """Candidate order along the last axis: amplitude descending, ties to
+    the longer period so coarse structure wins over its own harmonics."""
+    periods = np.broadcast_to(np.asarray(periods, dtype=float), amps.shape)
+    return np.lexsort((-periods, -amps), axis=-1)
+
+
 def _phase_sums(series: ResidualSeries, periods) -> np.ndarray:
     periods = np.asarray(periods, dtype=float)
+    times = series.times
     centered = series.values - series.mean
-    # Phase matrix (l, K); cos/sin accumulation avoids complex temporaries.
-    phases = (2.0 * np.pi) * np.outer(series.times, 1.0 / periods)
+    distinct, inverse = np.unique(times, return_inverse=True)
+    if distinct.shape[0] < times.shape[0]:
+        times = distinct
+        centered = np.bincount(inverse, weights=centered,
+                               minlength=distinct.shape[0])
+    phases = _phases(times, periods)
     re = centered @ np.cos(phases)
     im = centered @ np.sin(phases)
     return np.hypot(re, im) / len(series)
+
+
+def ranked_candidates(times, rows, periods) -> np.ndarray:
+    """Candidate order, strongest first, of each of n centred series
+    (rows, (n, l)) on the same timestamps, as indices (n, K).
+
+    One phase table serves every row.  Each row is then the same product
+    with it that `spectrum` makes for one series, so every row ranks as
+    `spectrum` ranks it; one (n, l) @ (l, K) product would sum in another
+    order, and a sparse row whose candidates tie up to rounding (one
+    event over whole weeks) would then rank them otherwise.
+    """
+    phases = _phases(times, periods)
+    cos, sin = np.cos(phases), np.sin(phases)
+    re = np.array([row @ cos for row in rows])
+    im = np.array([row @ sin for row in rows])
+    return _ranking(np.hypot(re, im) / len(times), periods)
 
 
 def amplitude(series: ResidualSeries, period: float) -> float:
@@ -95,8 +134,7 @@ def amplitude(series: ResidualSeries, period: float) -> float:
 def spectrum(series: ResidualSeries, candidates) -> SpectrumResult:
     """Amplitudes of every candidate, sorted by descending amplitude.
 
-    Ties prefer the longer period so coarse structure wins over its own
-    harmonics.
+    Ties prefer the longer period (see `_ranking`).
     """
     candidates = [float(c) for c in candidates]
     if not candidates:
@@ -104,8 +142,7 @@ def spectrum(series: ResidualSeries, candidates) -> SpectrumResult:
     if any(c <= 0 for c in candidates):
         raise ValueError("candidate periods must be positive")
     amps = _phase_sums(series, candidates)
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-amps[i], -candidates[i]))
+    order = _ranking(amps, candidates)
     return SpectrumResult(tuple((candidates[i], float(amps[i])) for i in order))
 
 

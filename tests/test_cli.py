@@ -12,8 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from hypertime import load_model, predict_mean
-from hypertime.cli import main
+from hypertime import GridSpec, load_model, predict_mean
+from hypertime.cli import _dump_heatmaps, main
 from conftest import daily_series, pedestrian_events
 
 DAY = 86400.0
@@ -261,6 +261,21 @@ def test_predict_event_density_and_cell_counts(workdir, trained_event_model,
     assert not np.allclose([r[3] for r in dens], [r[3] for r in cells])
 
 
+def test_predict_rejects_clamp_for_event_model(workdir, trained_event_model,
+                                               tmp_path, capsys):
+    queries = workdir / "equeries_clamp.csv"
+    queries.write_text("t,x1,x2\n3600.0,2.0,1.0\n", encoding="utf-8")
+    config = tmp_path / "clamp.cfg"
+    config.write_text("clamp = 0:0.0001\n", encoding="utf-8")
+    for extra in (["--clamp", "0:0.0001"], ["--config", str(config)]):
+        rc = main(["predict", "--model", str(trained_event_model),
+                   "--input", str(queries), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--clamp" in captured.err
+        assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -407,3 +422,52 @@ def test_evaluate_event_mode_writes_heatmaps(workdir, eval_config, tmp_path,
     body = heatmaps[0].read_text().strip().splitlines()
     assert body[0].startswith("# x1 x2 t observed predicted")
     assert all(len(ln.split()) == 5 for ln in body[1:])
+    # The body is the grid rendered element by element, cells in C order.
+    cols = np.array([[float(v) for v in ln.split()] for ln in body[1:]])
+    axes = [np.unique(cols[:, d]) for d in range(3)]
+    shape = tuple(len(a) for a in axes)
+    obs, pred = cols[:, 3].reshape(shape), cols[:, 4].reshape(shape)
+    assert body[1:] == [
+        " ".join(repr(float(v)) for v in (axes[0][i], axes[1][j], axes[2][k],
+                                          obs[i, j, k], pred[i, j, k]))
+        for i, j, k in np.ndindex(shape)]
+
+
+@pytest.mark.parametrize("n_spatial", [(3, 2), ()])
+def test_heatmap_writer_matches_per_element_repr(tmp_path, n_spatial):
+    d = len(n_spatial)
+    spec = GridSpec(np.full(d, -0.3), np.full(d, 1.1), n_spatial,
+                    1000.0, 1000.0 + 7 * 1800.0, 7)
+    rng = np.random.default_rng(0)
+    obs = rng.poisson(2.0, spec.shape)  # integer counts print as floats
+    pred = rng.normal(0, 1e-3, spec.shape)
+    pred.flat[0] = -0.0
+    _dump_heatmaps([(0, 0.5, 1800.0, spec, obs, pred)], str(tmp_path), False)
+    text = (tmp_path / "heatmap_fold0_s0.5_t1800.dat").read_text()
+    centers = [spec.spatial_centers(k) for k in range(d)]
+    expect = ["# " + " ".join([f"x{k + 1}" for k in range(d)]
+                              + ["t", "observed", "predicted"])]
+    for idx in np.ndindex(spec.shape):
+        row = [centers[k][idx[k]] for k in range(d)]
+        row += [spec.temporal_centers[idx[-1]], obs[idx], pred[idx]]
+        expect.append(" ".join(repr(float(v)) for v in row))
+    assert text == "\n".join(expect) + "\n"
+
+
+def test_evaluate_rejects_clamp_for_event_data(workdir, eval_config, tmp_path,
+                                               capsys):
+    config = tmp_path / "clamp.cfg"
+    config.write_text(eval_config.read_text() + "clamp = 0:0.0001\n",
+                      encoding="utf-8")
+    for extra in (["--config", str(eval_config), "--clamp", "0:0.0001"],
+                  ["--config", str(config)]):
+        out = tmp_path / f"clamped{len(extra)}"
+        rc = main(["evaluate", "--input", str(workdir / "events.csv"),
+                   "--test", str(workdir / "efold1.csv"),
+                   "--test", str(workdir / "efold2.csv"),
+                   "--clusters", "2", "--max-h", "0",
+                   "--grid-spatial", "1.0", "--grid-temporal", "21600",
+                   "--out-dir", str(out), *extra])
+        assert rc == 1
+        assert "--clamp" in capsys.readouterr().err
+        assert not (out / "errors.csv").exists()

@@ -9,6 +9,8 @@ from scipy import stats
 from hypertime import (
     BaselineConfig,
     Dataset,
+    default_candidates,
+    fremen_predictor,
     EvaluationGrid,
     GridSpec,
     grid_count,
@@ -269,3 +271,65 @@ def test_per_cell_baseline_hist_kind_runs():
     grid = per_cell_baseline(train, spec, cfg)
     assert np.all(np.isfinite(grid.predicted))
     assert grid.predicted.min() >= 0.0
+
+
+def fremen_cell_loop(train, spec, m, candidates):
+    """Reference: one `fremen_predictor` per spatial cell, as a loop."""
+    t0, t1 = float(train.times.min()), float(train.times.max())
+    n_bins = int(np.ceil((t1 - t0) / spec.temporal_edge - 1e-12))
+    train_spec = GridSpec(spec.spatial_lo, spec.spatial_hi, spec.n_spatial,
+                          t0, t0 + n_bins * spec.temporal_edge, n_bins)
+    counts = grid_count(train, train_spec).observed.reshape(-1, n_bins)
+    centers = train_spec.temporal_centers
+    fits = [fremen_predictor(Dataset(centers, values=row), m, candidates)
+            for row in counts]
+    return counts, fits, np.array(
+        [fit.predict(None, spec.temporal_centers) for fit in fits])
+
+
+def test_per_cell_fremen_matches_per_cell_loop():
+    # 14 d of events, first at t = 0: the training bins span whole weeks,
+    # so a one-event cell ties every candidate up to rounding.
+    rng = np.random.default_rng(11)
+    day = 86400.0
+    t = np.sort(np.concatenate([[0.0, 14 * day - 1.0],
+                                rng.uniform(0, 14 * day, 600)]))
+    x = np.where(rng.uniform(size=t.size) < 0.7,
+                 rng.normal(1.0, 0.3, t.size), rng.normal(2.5, 0.3, t.size))
+    x = np.clip(x, 0.05, 3.95)
+    x[1] = 3.5  # the only event of its cell
+    train = Dataset(t, np.column_stack([x, np.full(t.size, 0.5)]), None)
+    spec = GridSpec([0.0, 0.0], [4.0, 2.0], (8, 2), 14 * day, 15 * day, 48)
+    for candidates in (None, default_candidates(14 * day, 604800.0, 30)):
+        for m in (0, 1, 2, 3):
+            cfg = BaselineConfig(kind="fremen", m_components=m)
+            grid = per_cell_baseline(train, spec, cfg, candidates)
+            counts, fits, expect = fremen_cell_loop(train, spec, m,
+                                                    candidates)
+            assert not counts[-1].any()  # an all-zero cell
+            assert (counts.sum(axis=1) == 1).any()
+            # Same ranking products and coefficient sums as the loop.
+            np.testing.assert_array_equal(
+                grid.predicted.reshape(expect.shape), expect)
+
+
+def test_per_cell_fremen_too_many_components_is_skipped_by_sweep():
+    rng = np.random.default_rng(2)
+    t = np.sort(rng.uniform(0, 2 * 86400.0, 300))
+    train = Dataset(t, rng.uniform(0, 1, (300, 1)), None)
+    spec = GridSpec([0.0], [1.0], (2,), 2 * 86400.0, 3 * 86400.0, 24)
+    candidates = [86400.0, 43200.0]
+    with pytest.raises(ValueError, match="m exceeds"):
+        per_cell_baseline(train, spec,
+                          BaselineConfig(kind="fremen", m_components=3),
+                          candidates)
+
+    def make(tr, m):
+        return per_cell_baseline(tr, spec, BaselineConfig(
+            kind="fremen", m_components=m), candidates)
+
+    with pytest.warns(UserWarning, match="parameter 3 failed"):
+        result = sweep(train, train, make, [1, 3],
+                       scorer=lambda grid, _: float(grid.predicted.sum()))
+    assert [p for p, _ in result.failures] == [3]
+    assert result.best == 1

@@ -129,3 +129,52 @@ def test_single_sample_spectrum_is_flat_zero():
     s = ResidualSeries(np.array([123.0]), np.array([9.0]))
     result = spectrum(s, [60.0, 3600.0])
     assert all(a == 0.0 for _, a in result.entries)
+
+
+def ungrouped_amplitudes(times, values, periods):
+    """The phase sums over every entry, one table row per entry."""
+    centered = values - values.mean()
+    phases = 2 * np.pi * np.outer(times, 1.0 / np.asarray(periods))
+    re, im = centered @ np.cos(phases), centered @ np.sin(phases)
+    return np.hypot(re, im) / len(values)
+
+
+def test_grouped_spectrum_matches_brute_force_on_repeated_times():
+    rng = np.random.default_rng(23)
+    cand = [3600.0, 5000.0, 4 * 3600.0, DAY_SECONDS, WEEK_SECONDS]
+    for n, distinct in ((2, 1), (40, 7), (300, 50)):
+        grid = rng.uniform(0, 30 * DAY_SECONDS, distinct)
+        t = rng.choice(grid, n)  # unsorted, with repeats
+        v = rng.normal(0, 1, n) + np.cos(2 * np.pi * t / DAY_SECONDS)
+        s = ResidualSeries(t, v)
+        assert np.unique(t).size < n
+        expect = {p: brute_amplitude(t, v, p) for p in cand}
+        for p in cand:
+            assert amplitude(s, p) == pytest.approx(expect[p], rel=1e-12,
+                                                    abs=1e-15)
+        for p, a in spectrum(s, cand).entries:
+            assert a == pytest.approx(expect[p], rel=1e-12, abs=1e-15)
+
+
+def test_grouped_spectrum_on_tiled_event_residual_layout():
+    # event_residual_grid repeats the bin centres once per spatial cell
+    rng = np.random.default_rng(5)
+    centres = (np.arange(96) + 0.5) * 3600.0
+    cells = 20
+    t = np.tile(centres, cells)
+    v = (rng.poisson(0.3, t.size)
+         - 0.3 * (1 + np.cos(2 * np.pi * t / DAY_SECONDS)))
+    s = ResidualSeries(t, v)
+    cand = default_candidates(4 * DAY_SECONDS, WEEK_SECONDS, 24)
+    for p, a in spectrum(s, cand).entries:
+        assert a == pytest.approx(brute_amplitude(t, v, p), rel=1e-12)
+    direct = ungrouped_amplitudes(t, v, cand)
+    np.testing.assert_allclose(
+        [amplitude(s, p) for p in cand], direct, rtol=1e-12)
+    exclude = set()
+    for _ in range(3):
+        kept = [c for c in cand if c not in exclude]
+        amps = ungrouped_amplitudes(t, v, kept)
+        best = max(range(len(kept)), key=lambda i: (amps[i], kept[i]))
+        assert prominent_period(s, cand, exclude) == kept[best]
+        exclude.add(kept[best])
