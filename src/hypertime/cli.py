@@ -248,25 +248,18 @@ def cmd_predict(args, config) -> int:
             se = _resolve(args, config, "grid_spatial", float)
             te = _resolve(args, config, "grid_temporal", float)
             sub = _resolve(args, config, "subsample", int)
-            preds = np.array([
-                predict_cell_count(
-                    model,
-                    [(c - se / 2, c + se / 2) for c in queries.coords[i]],
-                    (queries.times[i] - te / 2, queries.times[i] + te / 2),
-                    subsample=sub,
-                )
-                for i in range(len(queries))
-            ])
+            c, t = queries.coords, queries.times
+            preds = predict_cell_count(
+                model, np.stack([c - se / 2, c + se / 2], axis=2),
+                np.column_stack([t - te / 2, t + te / 2]), subsample=sub)
         else:
             preds = np.atleast_1d(
                 density(model, x=coords, t=queries.times))
     header = ["t"] + [f"x{d + 1}" for d in range(queries.spatial_dim)]
-    print(",".join(header + ["prediction"]))
-    for i in range(len(queries)):
-        row = [_fmt(queries.times[i])]
-        row += [_fmt(c) for c in queries.coords[i]]
-        row.append(_fmt(preds[i]))
-        print(",".join(row))
+    columns = [queries.times, *queries.coords.T, preds]
+    lines = [",".join(header + ["prediction"])]
+    lines += map(",".join, zip(*map(_fmt_all, columns)))
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

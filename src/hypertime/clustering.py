@@ -10,13 +10,21 @@ and as a last resort constrain covariances to diagonal matrices.
 Distances mix two geometries: value and spatial coordinates compare by
 Euclidean distance, while each circular (cos, sin) pair compares by
 cosine dissimilarity so that phases a full period apart coincide.
+
+Every Gaussian evaluation goes through one :class:`MixtureCore`: per
+component the log-weight, the lower Cholesky factor of the covariance
+and the log-normaliser, plus, for a valued mixture, the factors of the
+marginal over the non-value dimensions and the regression of the value
+on them.  A :class:`MixtureModel` builds its core on the first
+evaluation (or on `MixtureModel.core`) and keeps it: a component edited
+before that is honoured, one edited after it is not.  Each EM iteration
+builds a core from its current parameters for the E-step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .projection import DimensionLayout
 
@@ -77,20 +85,109 @@ class GaussianComponent:
     def logpdf(self, points) -> np.ndarray:
         """Log density at each row of `points` (shape (N, dim))."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.dim == 0:
-            return np.zeros(points.shape[0])
-        chol = np.linalg.cholesky(self.covariance)
-        dev = solve_triangular(chol, (points - self.mean).T, lower=True)
-        quad = np.einsum("ij,ij->j", dev, dev)
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        return -0.5 * (self.dim * _LOG_2PI + logdet + quad)
+        chol, norm = _factor(self.covariance)
+        return _logpdf_at(points - self.mean, chol, norm)
 
-    def marginal(self, indices) -> "GaussianComponent":
-        """Marginal over the given coordinate subset (weight carried over)."""
-        idx = np.asarray(indices, dtype=int)
-        return GaussianComponent(
-            self.weight, self.mean[idx], self.covariance[np.ix_(idx, idx)]
-        )
+
+def _factor(cov):
+    """Lower Cholesky factor of `cov` and the log-normaliser
+    ``dim * log(2 pi) + log det cov`` of a Gaussian with that covariance."""
+    chol = np.linalg.cholesky(cov)
+    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    return chol, cov.shape[0] * _LOG_2PI + logdet
+
+
+def _logpdf_at(diff, chol, norm):
+    """Gaussian log density at deviations `diff` (N, dim) from the mean."""
+    if diff.shape[1] == 0:
+        return np.zeros(diff.shape[0])
+    dev = solve_triangular(chol, diff.T, lower=True)
+    quad = np.einsum("ij,ij->j", dev, dev)
+    return -0.5 * (norm + quad)
+
+
+def _logsumexp(a, axis):
+    """``scipy.special.logsumexp(a, axis=axis)`` of a real array, bit for bit.
+
+    Scipy's formula: with m entries equal to the maximum and s the sum of
+    exp(a - max) over the other entries, the result is
+    ``log1p(s / m) + log(m) + max``; where that is not finite it is
+    ``log(sum(exp(a)))``.  The sums run along `axis` in `a`'s own memory
+    layout, so a caller must pass the layout scipy was given.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis=axis, keepdims=True)
+        at_top = a == top
+        m = at_top.sum(axis=axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(
+            axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(bad, direct, out)
+    return out.squeeze(axis)
+
+
+class MixtureCore:
+    """Factors of a Gaussian mixture, computed once per parameter set.
+
+    Per component: the log-weight, the mean, the lower Cholesky factor of
+    the covariance and the log-normaliser.  With `valued`, dimension 0
+    is the value and the core also holds, per component, the factors of
+    the marginal over the remaining ("rest") dimensions and the
+    regression coefficients beta of the value on them.
+    """
+
+    def __init__(self, weights, means, covs, valued=False):
+        self.weights = list(weights)
+        self.log_weights = [np.log(w) for w in self.weights]
+        self.means = [np.array(m, dtype=float) for m in means]
+        self.factors = []
+        # Per component of a valued mixture: (rest mean, rest Cholesky
+        # factor, rest log-normaliser, beta or None without rest dims).
+        self.rest = []
+        for j, cov in enumerate(covs):
+            cov = np.asarray(cov, dtype=float)
+            try:
+                self.factors.append(_factor(cov))
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"components[{j}].covariance is not positive definite"
+                ) from None
+            if valued:
+                s_rr = cov[1:, 1:]
+                beta = np.linalg.solve(s_rr, cov[1:, 0]) if s_rr.size else None
+                self.rest.append((self.means[j][1:], *_factor(s_rr), beta))
+
+    def log_joint(self, points, components_first=False) -> np.ndarray:
+        """``log w_j + log N_j(x)`` for every row x of `points` (N, dim)
+        and component j: shape (N, k), or (k, N) with `components_first`."""
+        k, n = len(self.means), points.shape[0]
+        out = np.empty((k, n)) if components_first else np.empty((n, k))
+        cols = out if components_first else out.T
+        for j in range(k):
+            cols[j] = self.log_weights[j] + _logpdf_at(
+                points - self.means[j], *self.factors[j])
+        return out
+
+    def value_terms(self, rest_pts):
+        """Per row of `rest_pts`: ``(sum_j w_j q_j c_j, sum_j w_j q_j)``,
+        where q_j is component j's marginal density over the rest
+        dimensions and c_j the conditional mean of the value given them."""
+        n = rest_pts.shape[0]
+        unscaled, mass = np.zeros(n), np.zeros(n)
+        for w, full_mean, (mean, chol, norm, beta) in zip(
+                self.weights, self.means, self.rest):
+            diff = rest_pts - mean
+            wq = w * np.exp(_logpdf_at(diff, chol, norm))
+            if beta is None:
+                c = np.full(n, full_mean[0])
+            else:
+                c = full_mean[0] + diff @ beta
+            unscaled += wq * c
+            mass += wq
+        return unscaled, mass
 
 
 @dataclass
@@ -114,6 +211,8 @@ class MixtureModel:
     components: list[GaussianComponent]
     layout: DimensionLayout
     fit_log: FitLog | None = None
+    _core: MixtureCore | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -130,12 +229,21 @@ class MixtureModel:
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
 
+    @property
+    def core(self) -> MixtureCore:
+        """The mixture's factors, built on first use and then kept."""
+        if self._core is None:
+            self._core = MixtureCore(
+                [c.weight for c in self.components],
+                [c.mean for c in self.components],
+                [c.covariance for c in self.components],
+                valued=self.layout.has_value)
+        return self._core
+
     def logpdf(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        stacked = np.stack(
-            [np.log(c.weight) + c.logpdf(points) for c in self.components]
-        )
-        return logsumexp(stacked, axis=0)
+        return _logsumexp(self.core.log_joint(points, components_first=True),
+                          axis=0)
 
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.logpdf(points))
@@ -303,14 +411,6 @@ def _hard_moments(points, assign, n, floor, centers, diagonal=False):
     return weights, means, covs, raw
 
 
-def _log_joint(points, weights, means, covs):
-    cols = []
-    for j in range(means.shape[0]):
-        comp = GaussianComponent(1.0, means[j], covs[j])
-        cols.append(np.log(weights[j]) + comp.logpdf(points))
-    return np.stack(cols, axis=1)
-
-
 def _m_step(points, resp, floor, diagonal):
     nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
     weights = nk / nk.sum()
@@ -342,8 +442,8 @@ def _em_loop(points, params, cfg, diagonal):
     prev_params = params
     for it in range(cfg.max_iter + 1):
         weights, means, covs, _ = params
-        log_joint = _log_joint(points, weights, means, covs)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_joint = MixtureCore(weights, means, covs).log_joint(points)
+        log_norm = _logsumexp(log_joint, axis=1)
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
             params = prev_params

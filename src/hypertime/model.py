@@ -147,27 +147,6 @@ def _rest_points(model: HypertimeModel, coords, times) -> np.ndarray:
     return np.hstack([std, project_times(times, model.projection)])
 
 
-def _mean_terms(model: HypertimeModel, rest_pts):
-    """Per row: (sum_j w_j q_j c_j, sum_j w_j q_j) where q_j is the
-    component's marginal density over the non-value dimensions and c_j
-    the conditional mean of the value given them."""
-    rest_idx = model.layout.rest_indices
-    unscaled = np.zeros(rest_pts.shape[0])
-    mass = np.zeros(rest_pts.shape[0])
-    for comp in model.mixture.components:
-        q = np.exp(comp.marginal(rest_idx).logpdf(rest_pts))
-        if rest_idx.size:
-            s_rr = comp.covariance[np.ix_(rest_idx, rest_idx)]
-            s_ra = comp.covariance[rest_idx, 0]
-            beta = np.linalg.solve(s_rr, s_ra)
-            c = comp.mean[0] + (rest_pts - comp.mean[rest_idx]) @ beta
-        else:
-            c = np.full(rest_pts.shape[0], comp.mean[0])
-        unscaled += comp.weight * q * c
-        mass += comp.weight * q
-    return unscaled, mass
-
-
 def _require_mode(model: HypertimeModel, mode: str):
     if model.mode != mode:
         raise ValueError(f"operation requires a {mode} model, got {model.mode}")
@@ -199,7 +178,8 @@ def predict_mean(model: HypertimeModel, x, t):
     """Expected reading at (x, t): gamma * sum_j w_j q_j(x,t) c_j(x,t)."""
     _require_mode(model, VALUED)
     coords, times = _as_queries(model, x, t)
-    unscaled, _ = _mean_terms(model, _rest_points(model, coords, times))
+    rest = _rest_points(model, coords, times)
+    unscaled, _ = model.mixture.core.value_terms(rest)
     out = model.gamma * unscaled
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -226,7 +206,7 @@ def model_error(model: HypertimeModel, data: Dataset) -> float:
 
 def _calibrate_valued(model: HypertimeModel, train: Dataset):
     rest = _rest_points(model, train.coords, train.times)
-    unscaled, _ = _mean_terms(model, rest)
+    unscaled, _ = model.mixture.core.value_terms(rest)
     denom = float(unscaled.sum())
     num = float(train.values.sum())
     if num == 0.0 and not np.any(train.values):
@@ -342,26 +322,78 @@ def predict_counts(model: HypertimeModel, spec: GridSpec,
 
 
 def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
-                       subsample: int = 1) -> float:
-    """Predicted number of events inside one spatio-temporal cell.
+                       subsample: int = 1):
+    """Predicted number of events inside spatio-temporal cells.
 
-    `spatial_bounds` is a sequence of (lo, hi) per spatial dimension,
-    `t_bounds` the (start, end) of the time slice.  Zero-extent cells
-    are rejected.
+    One cell: `spatial_bounds` is a sequence of (lo, hi) per spatial
+    dimension and `t_bounds` the (start, end) of the time slice; the
+    count is returned as a float.  A batch of B cells: `spatial_bounds`
+    has shape (B, spatial_dim, 2) and `t_bounds` shape (B, 2); the
+    counts are returned as an array of length B.  Each cell's density is
+    the mean over ``subsample`` midpoints per axis.  Cells of zero,
+    negative or non-finite extent are rejected.
     """
     _require_mode(model, EVENT)
-    bounds = [(float(lo), float(hi)) for lo, hi in spatial_bounds]
-    if len(bounds) != model.layout.spatial_dim:
-        raise ValueError("cell dimensionality does not match model")
-    t0, t1 = float(t_bounds[0]), float(t_bounds[1])
-    if t1 <= t0 or any(hi <= lo for lo, hi in bounds):
-        raise ValueError("cell has zero or negative extent")
-    spec = GridSpec(
-        np.array([lo for lo, _ in bounds]),
-        np.array([hi for _, hi in bounds]),
-        (1,) * len(bounds), t0, t1, 1,
-    )
-    return float(predict_counts(model, spec, subsample).reshape(-1)[0])
+    s = int(subsample)
+    if s < 1:
+        raise ValueError("subsample must be >= 1")
+    d = model.layout.spatial_dim
+    tb = np.asarray(t_bounds, dtype=float)
+    sb = np.asarray(spatial_bounds, dtype=float)
+    single = tb.ndim == 1
+    if single:
+        tb = tb.reshape(1, -1)
+        sb = sb.reshape(1, -1, 2) if sb.size else np.empty((1, 0, 2))
+    if sb.ndim != 3 or sb.shape[1:] != (d, 2):
+        raise ValueError(f"cell bounds must have shape (cells, {d}, 2) to "
+                         f"match the model, got {sb.shape}")
+    if tb.shape != (sb.shape[0], 2):
+        n = min(sb.shape[0], tb.shape[0])
+        raise ValueError(f"t_bounds has shape {tb.shape} but there are "
+                         f"{sb.shape[0]} cells; row {n} has no match")
+    lo, hi = sb[:, :, 0], sb[:, :, 1]
+    t0, t1 = tb[:, 0], tb[:, 1]
+    ok = (t1 > t0) & np.all(hi > lo, axis=1)
+    ok &= np.isfinite(t1 - t0) & np.all(np.isfinite(hi - lo), axis=1)
+    if not ok.all():
+        where = "" if single else f" {int(np.flatnonzero(~ok)[0])}"
+        raise ValueError(f"cell{where} has zero, negative or non-finite extent")
+    volume = np.prod(hi - lo, axis=1) * (t1 - t0)
+    counts = model.gamma * _cell_means(model, lo, hi, t0, t1, s) * volume
+    return float(counts[0]) if single else counts
+
+
+def _cell_means(model: HypertimeModel, lo, hi, t0, t1, s: int) -> np.ndarray:
+    """Mean (unscaled) mixture density of each cell [lo, hi) x [t0, t1)
+    over its ``s`` midpoints per axis; points are laid out per cell as in
+    `_event_cell_means`, so a one-cell batch evaluates exactly as there."""
+    n_cells, d = lo.shape
+    mid = np.arange(s) + 0.5
+    # (cells, s) midpoints per spatial axis, then (cells, s**d, d) in
+    # C order over the axes.
+    axes = [lo[:, k, None] + mid * ((hi[:, k] - lo[:, k])[:, None] / s)
+            for k in range(d)]
+    if d:
+        picks = np.indices((s,) * d).reshape(d, -1)
+        coords = np.stack([axes[k][:, picks[k]] for k in range(d)], axis=2)
+    else:
+        coords = np.empty((n_cells, 1, 0))
+    coords_std = (coords - model.spatial_stats.mean) / model.spatial_stats.std
+    t_axis = t0[:, None] + mid * ((t1 - t0)[:, None] / s)
+    m_sp = coords_std.shape[1]
+    out = np.empty(n_cells)
+    chunk = max(1, 500_000 // (s * m_sp))
+    for start in range(0, n_cells, chunk):
+        stop = min(start + chunk, n_cells)
+        ht = project_times(t_axis[start:stop].reshape(-1), model.projection)
+        block = np.empty((stop - start, s, m_sp, model.layout.width))
+        block[..., :d] = coords_std[start:stop, None]
+        block[..., d:] = ht.reshape(stop - start, s, 1, -1)
+        dens = model.mixture.pdf(block.reshape(-1, model.layout.width))
+        dens = np.ascontiguousarray(
+            dens.reshape(stop - start, s, m_sp).transpose(0, 2, 1))
+        out[start:stop] = dens.mean(axis=(1, 2))
+    return out
 
 
 def event_residual_grid(model: HypertimeModel, events: Dataset,
@@ -585,10 +617,13 @@ def model_from_dict(payload: dict) -> HypertimeModel:
             raise ValueError(f"unsupported version {payload['version']!r}")
         layout = DimensionLayout(**payload["layout"])
         comps = [
-            GaussianComponent(c["weight"], np.asarray(c["mean"]),
-                              np.asarray(c["covariance"]))
-            for c in payload["components"]
+            GaussianComponent(
+                float(_finite(c["weight"], f"components[{j}].weight")),
+                _finite(c["mean"], f"components[{j}].mean"),
+                _finite(c["covariance"], f"components[{j}].covariance"))
+            for j, c in enumerate(payload["components"])
         ]
+        _check_components(comps)
         fit = payload.get("fit")
         fit_log = None
         if fit is not None:
@@ -603,19 +638,26 @@ def model_from_dict(payload: dict) -> HypertimeModel:
                 [(float(lo), float(hi)) for lo, hi in raw],
             )
         mixture = MixtureModel(comps, layout, fit_log)
-        stats = SpatialStats(np.asarray(payload["spatial_stats"]["mean"]),
-                             np.asarray(payload["spatial_stats"]["std"]))
-        window = TrainingWindow(
-            np.asarray(payload["window"]["spatial_lo"]),
-            np.asarray(payload["window"]["spatial_hi"]),
-            payload["window"]["t_lo"], payload["window"]["t_hi"],
-        )
+        mixture.core  # factoring is the positive-definiteness check
+        st, win = payload["spatial_stats"], payload["window"]
+        std = _finite(st["std"], "spatial_stats.std")
+        if np.any(std <= 0):
+            raise ValueError("spatial_stats.std must be positive")
+        stats = SpatialStats(_finite(st["mean"], "spatial_stats.mean"), std)
+        lo = _finite(win["spatial_lo"], "window.spatial_lo")
+        hi = _finite(win["spatial_hi"], "window.spatial_hi")
+        if np.any(lo > hi):
+            raise ValueError("window.spatial_lo exceeds window.spatial_hi")
+        window = TrainingWindow(lo, hi,
+                                float(_finite(win["t_lo"], "window.t_lo")),
+                                float(_finite(win["t_hi"], "window.t_hi")))
         gamma = float(payload["gamma"])
         if not np.isfinite(gamma) or gamma <= 0:
             raise ValueError("gamma must be finite and positive")
         model = HypertimeModel(
             mixture,
-            HypertimeProjection(tuple(payload["periods"])),
+            HypertimeProjection(tuple(
+                _finite(payload["periods"], "periods").tolist())),
             layout, gamma, bool(payload["gamma_fallback"]), stats,
             payload["mode"], window,
             training_error=float(payload["training_error"]),
@@ -631,6 +673,24 @@ def model_from_dict(payload: dict) -> HypertimeModel:
     if model.layout.n_periods != len(model.projection.periods):
         raise ValueError("layout and period list disagree")
     return model
+
+
+def _finite(values, name) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} holds a non-finite number")
+    return arr
+
+
+def _check_components(comps) -> None:
+    for j, c in enumerate(comps):
+        if not c.weight > 0:
+            raise ValueError(f"components[{j}].weight must be positive")
+        if not np.array_equal(c.covariance, c.covariance.T):
+            raise ValueError(f"components[{j}].covariance is not symmetric")
+    total = sum(c.weight for c in comps)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"component weights sum to {total!r}, not 1")
 
 
 def save_model(model: HypertimeModel, path) -> None:

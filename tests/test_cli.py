@@ -12,8 +12,9 @@ import os
 import numpy as np
 import pytest
 
-from hypertime import GridSpec, load_model, predict_mean
-from hypertime.cli import _dump_heatmaps, main
+from hypertime import (GridSpec, density, load_model, predict_cell_count,
+                       predict_mean)
+from hypertime.cli import _dump_heatmaps, _fmt, main
 from conftest import daily_series, pedestrian_events
 
 DAY = 86400.0
@@ -259,6 +260,81 @@ def test_predict_event_density_and_cell_counts(workdir, trained_event_model,
     assert all(r[3] >= 0 for r in cells)
     # Counts integrate density over a cell, so the scales differ.
     assert not np.allclose([r[3] for r in dens], [r[3] for r in cells])
+
+
+def test_predict_output_matches_per_row_rendering(workdir, trained_model,
+                                                   trained_event_model,
+                                                   capsys):
+    # The column-wise writer prints exactly what one `_fmt` per field and
+    # one line per row printed.
+    tq = np.linspace(0.0, 2 * DAY, 41) + 0.1
+    queries = workdir / "render.csv"
+    queries.write_text("t\n" + "\n".join(map(repr, tq.tolist())) + "\n",
+                       encoding="utf-8")
+    rc = main(["predict", "--model", str(trained_model),
+               "--input", str(queries)])
+    assert rc == 0
+    preds = predict_mean(load_model(trained_model), None, tq)
+    expect = "t,prediction\n" + "".join(
+        f"{_fmt(t)},{_fmt(p)}\n" for t, p in zip(tq, preds))
+    assert capsys.readouterr().out == expect
+
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.0, 8.0, (23, 2))
+    ts = np.sort(rng.uniform(0.0, 3 * DAY, 23))
+    equeries = workdir / "erender.csv"
+    equeries.write_text("t,x1,x2\n" + "".join(
+        f"{t!r},{a!r},{b!r}\n" for t, (a, b) in zip(ts.tolist(), xs.tolist())),
+        encoding="utf-8")
+    rc = main(["predict", "--model", str(trained_event_model),
+               "--input", str(equeries)])
+    assert rc == 0
+    dens = density(load_model(trained_event_model), x=xs, t=ts)
+    expect = "t,x1,x2,prediction\n" + "".join(
+        f"{_fmt(t)},{_fmt(x[0])},{_fmt(x[1])},{_fmt(p)}\n"
+        for t, x, p in zip(ts, xs, dens))
+    assert capsys.readouterr().out == expect
+
+
+def test_predict_gridded_rows_equal_one_batch_call(workdir,
+                                                   trained_event_model,
+                                                   capsys):
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(0.0, 8.0, (50, 2))
+    ts = np.sort(rng.uniform(0.0, 3 * DAY, 50))
+    queries = workdir / "gridded.csv"
+    queries.write_text("t,x1,x2\n" + "".join(
+        f"{t!r},{a!r},{b!r}\n" for t, (a, b) in zip(ts.tolist(), xs.tolist())),
+        encoding="utf-8")
+    rc = main(["predict", "--model", str(trained_event_model),
+               "--input", str(queries),
+               "--grid-spatial", "0.5", "--grid-temporal", "1800"])
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rc == 0
+    model = load_model(trained_event_model)
+    bounds = np.stack([xs - 0.25, xs + 0.25], axis=2)
+    tb = np.column_stack([ts - 900.0, ts + 900.0])
+    batch = predict_cell_count(model, bounds, tb)
+    # Bit for bit the batch: with one point per cell, a call per row
+    # solves one column at a time and rounds some rows differently.
+    np.testing.assert_array_equal([r[3] for r in rows], batch)
+    loop = [predict_cell_count(model, bounds[i], tb[i]) for i in range(50)]
+    np.testing.assert_allclose(batch, loop, rtol=1e-13, atol=0.0)
+
+
+def test_predict_rejects_bad_model_file(workdir, trained_model, tmp_path,
+                                        capsys):
+    payload = json.loads(trained_model.read_text(encoding="utf-8"))
+    payload["components"][0]["weight"] = 5.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["predict", "--model", str(bad),
+               "--input", str(workdir / "train.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: component weights sum to 5.0, "
+                            "not 1\n")
 
 
 def test_predict_rejects_clamp_for_event_model(workdir, trained_event_model,

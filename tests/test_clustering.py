@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from hypertime import (
     DimensionLayout,
     FitConfig,
     GaussianComponent,
+    MixtureModel,
     detect_instability,
     em_fit_stable,
     km_fit,
     kmeans_init,
     mixed_distance,
 )
+from hypertime.clustering import MixtureCore, _logsumexp
 
 VALUE_ONLY = DimensionLayout(True, 0, 0)
 VALUE_1D = DimensionLayout(True, 1, 0)
@@ -58,16 +61,110 @@ def test_component_logpdf_matches_scipy():
         np.testing.assert_allclose(comp.logpdf(x), expect, atol=1e-10)
 
 
-def test_component_marginal():
-    mean = np.array([1.0, 2.0, 3.0])
-    cov = np.diag([1.0, 4.0, 9.0])
-    cov[0, 1] = cov[1, 0] = 0.5
-    comp = GaussianComponent(0.5, mean, cov)
-    marg = comp.marginal([0, 2])
-    np.testing.assert_array_equal(marg.mean, [1.0, 3.0])
-    np.testing.assert_array_equal(marg.covariance,
-                                  [[1.0, 0.0], [0.0, 9.0]])
-    assert marg.weight == 0.5
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def random_mixture(rng, layout, k):
+    comps = []
+    for _ in range(k):
+        root = rng.normal(0, 1, (layout.width, layout.width))
+        cov = root @ root.T + 0.3 * np.eye(layout.width)
+        comps.append(GaussianComponent(rng.uniform(0.2, 1.0),
+                                       rng.normal(0, 1, layout.width), cov))
+    total = sum(c.weight for c in comps)
+    for c in comps:
+        c.weight /= total
+    return MixtureModel(comps, layout)
+
+
+def stacked_logpdf(mix, pts):
+    """The mixture log density as computed before the factor cache."""
+    stacked = np.stack([np.log(c.weight) + c.logpdf(pts)
+                        for c in mix.components])
+    return logsumexp(stacked, axis=0)
+
+
+def hard_rows(rng, n, k):
+    """Random log-joint rows with tied maxima, rows whose exponentials
+    underflow, and rows that are -inf in some or all entries."""
+    a = rng.normal(-5, 20, (n, k))
+    a[: n // 8] = np.round(a[: n // 8])           # frequent ties
+    a[n // 8: n // 4, :] = a[n // 8: n // 4, :1]  # every entry tied
+    a[n // 4: n // 3] -= 1e4                      # exp underflows to 0
+    a[n // 3: n // 3 + 5, 0] = -np.inf
+    a[n // 3 + 5: n // 3 + 10] = -np.inf
+    return a
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_logsumexp_matches_scipy_bit_for_bit(k):
+    # Both layouts the call sites pass: EM's C-contiguous (n, k) reduced
+    # along axis 1, and MixtureModel.logpdf's C-contiguous (k, n) reduced
+    # along axis 0.  The two sum in different orders, so each is checked
+    # against scipy on its own layout.
+    rng = np.random.default_rng(100 + k)
+    rows = hard_rows(rng, 4000, k)
+    cols = np.ascontiguousarray(rows.T)
+    assert same_bits(_logsumexp(rows, axis=1), logsumexp(rows, axis=1))
+    assert same_bits(_logsumexp(cols, axis=0), logsumexp(cols, axis=0))
+
+
+@pytest.mark.parametrize("layout", [
+    DimensionLayout(False, 0, 0), DimensionLayout(False, 2, 1),
+    DimensionLayout(True, 0, 1), DimensionLayout(True, 1, 2)])
+def test_mixture_logpdf_matches_component_stack_bit_for_bit(layout):
+    rng = np.random.default_rng(layout.width)
+    for k in (1, 3, 10):
+        mix = random_mixture(rng, layout, k)
+        # Enough rows that a reduction in another order than scipy's
+        # (k, n) axis-0 sum shows at k = 10.
+        pts = rng.normal(0, 3, (20_000, layout.width))
+        assert same_bits(mix.logpdf(pts), stacked_logpdf(mix, pts))
+
+
+def test_em_log_joint_matches_component_formula():
+    # The E-step's (n, k) table equals the per-component formula it
+    # replaced, entry for entry.
+    rng = np.random.default_rng(41)
+    lay = DimensionLayout(True, 1, 1)
+    mix = random_mixture(rng, lay, 4)
+    weights = np.array([c.weight for c in mix.components])
+    means = np.stack([c.mean for c in mix.components])
+    covs = np.stack([c.covariance for c in mix.components])
+    pts = rng.normal(0, 2, (300, lay.width))
+    table = MixtureCore(weights, means, covs).log_joint(pts)
+    expect = np.stack([np.log(weights[j])
+                       + GaussianComponent(1.0, means[j], covs[j]).logpdf(pts)
+                       for j in range(4)], axis=1)
+    assert table.flags.c_contiguous
+    assert same_bits(table, expect)
+
+
+def test_mixture_core_is_built_on_first_use_and_kept():
+    rng = np.random.default_rng(42)
+    mix = random_mixture(rng, DimensionLayout(True, 0, 1), 2)
+    pts = rng.normal(0, 1, (5, 3))
+    # An edit before the first evaluation is honoured ...
+    mix.components[0].mean[0] = 5.0
+    before = mix.logpdf(pts)
+    assert same_bits(before, stacked_logpdf(mix, pts))
+    # ... and the factors are not rebuilt afterwards.
+    core = mix.core
+    mix.components[0].mean[0] = -5.0
+    assert mix.core is core
+    assert same_bits(mix.logpdf(pts), before)
+
+
+def test_mixture_core_names_a_non_positive_definite_component():
+    bad = GaussianComponent(0.5, np.zeros(2), np.array([[1.0, 2.0],
+                                                        [2.0, 1.0]]))
+    good = GaussianComponent(0.5, np.zeros(2), np.eye(2))
+    mix = MixtureModel([good, bad], DimensionLayout(False, 2, 0))
+    with pytest.raises(ValueError, match=r"components\[1\]"):
+        mix.logpdf(np.zeros((1, 2)))
 
 
 def test_mixed_distance_identical_points():

@@ -35,6 +35,7 @@ from hypertime import (
     predict_cell_count,
     predict_counts,
     predict_mean,
+    project_times,
     residuals,
     save_model,
     select_cluster_count,
@@ -103,6 +104,66 @@ def test_mean_matches_quadrature_on_random_models():
         closed = predict_mean(model, x, t)
         numeric = quadrature_mean(model, x, t)
         assert closed == pytest.approx(numeric, abs=1e-4)
+
+
+def random_mixture_model(rng, mode, spatial_dim, n_periods, k):
+    """Hand-built k-component model with a non-trivial standardization."""
+    valued = mode == "valued"
+    layout = DimensionLayout(valued, spatial_dim, n_periods)
+    weights = rng.uniform(0.2, 1.0, k)
+    weights /= weights.sum()
+    comps = [GaussianComponent(float(w), rng.normal(0, 1, layout.width),
+                               random_spd(rng, layout.width, 0.6))
+             for w in weights]
+    periods = tuple(DAY / (j + 1) for j in range(n_periods))
+    window = TrainingWindow(np.zeros(spatial_dim), np.full(spatial_dim, 4.0),
+                            0.0, 7 * DAY)
+    stats = SpatialStats(rng.uniform(1.0, 3.0, spatial_dim),
+                         rng.uniform(0.5, 2.0, spatial_dim))
+    return HypertimeModel(MixtureModel(comps, layout, None),
+                          HypertimeProjection(periods), layout,
+                          gamma=float(rng.uniform(0.5, 50.0)),
+                          gamma_fallback=False, spatial_stats=stats,
+                          mode=mode, window=window)
+
+
+def marginal_formula_mean(model, coords, times):
+    """Expected reading by the formula the factor cache replaced: per
+    query, each component's marginal over the non-value dimensions as
+    its own Gaussian and a fresh solve for the value-on-rest regression."""
+    st = model.spatial_stats
+    rest_pts = np.hstack([(coords - st.mean) / st.std,
+                          project_times(times, model.projection)])
+    idx = model.layout.rest_indices
+    unscaled = np.zeros(times.shape[0])
+    for comp in model.mixture.components:
+        s_rr = comp.covariance[np.ix_(idx, idx)]
+        marginal = GaussianComponent(comp.weight, comp.mean[idx], s_rr)
+        q = np.exp(marginal.logpdf(rest_pts))
+        if idx.size:
+            beta = np.linalg.solve(s_rr, comp.covariance[idx, 0])
+            c = comp.mean[0] + (rest_pts - comp.mean[idx]) @ beta
+        else:
+            c = np.full(rest_pts.shape[0], comp.mean[0])
+        unscaled += comp.weight * q * c
+    return model.gamma * unscaled
+
+
+def test_predict_mean_matches_marginal_formula_bit_for_bit(daily_data):
+    rng = np.random.default_rng(23)
+    models = [random_mixture_model(rng, "valued", d, h, k)
+              for d in (0, 1, 2) for h in (0, 2) for k in (1, 3)]
+    models.append(build(daily_data, BuildConfig(
+        fit=FitConfig(n_clusters=2, seed=42), max_h=2, auto_clusters=False)))
+    for model in models:
+        d = model.layout.spatial_dim
+        t = rng.uniform(0, 14 * DAY, 300)
+        x = rng.normal(2.0, 2.0, (300, d))
+        expect = marginal_formula_mean(model, x, t)
+        got = predict_mean(model, x if d else None, t)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        one = predict_mean(model, x[7] if d else None, float(t[7]))
+        assert one == marginal_formula_mean(model, x[7:8], t[7:8])[0]
 
 
 def test_density_nonnegative_and_scales_with_gamma():
@@ -370,6 +431,53 @@ def test_predict_cell_count_matches_grid(event_model):
     assert single == pytest.approx(grid_val, rel=1e-12)
 
 
+def random_cells(rng, n, spatial_dim):
+    lo = rng.uniform(-1.0, 5.0, (n, spatial_dim))
+    width = rng.uniform(0.05, 1.5, (n, spatial_dim))
+    t0 = rng.uniform(0.0, 7 * DAY, n)
+    return (np.stack([lo, lo + width], axis=2),
+            np.column_stack([t0, t0 + rng.uniform(300.0, 7200.0, n)]))
+
+
+@pytest.mark.parametrize("spatial_dim", [0, 1, 2])
+@pytest.mark.parametrize("subsample", [1, 3])
+def test_predict_cell_count_batch_matches_loop(spatial_dim, subsample):
+    rng = np.random.default_rng(10 * spatial_dim + subsample)
+    model = random_mixture_model(rng, "event", spatial_dim, 2, 3)
+    bounds, tb = random_cells(rng, 60, spatial_dim)
+    batch = predict_cell_count(model, bounds, tb, subsample=subsample)
+    loop = np.array([predict_cell_count(model, bounds[i], tb[i],
+                                        subsample=subsample)
+                     for i in range(60)])
+    assert batch.shape == (60,)
+    np.testing.assert_allclose(batch, loop, rtol=1e-13, atol=0.0)
+    # A one-cell batch is the single call, and a single call evaluates
+    # exactly as a one-cell grid does.
+    assert predict_cell_count(model, bounds[:1], tb[:1],
+                              subsample=subsample)[0] == loop[0]
+    for i in range(60):
+        spec = GridSpec(bounds[i, :, 0], bounds[i, :, 1], (1,) * spatial_dim,
+                        tb[i, 0], tb[i, 1], 1)
+        assert loop[i] == predict_counts(model, spec, subsample).item()
+
+
+def test_predict_cell_count_batch_rejects_bad_rows(event_model):
+    rng = np.random.default_rng(13)
+    bounds, tb = random_cells(rng, 10, 2)
+    flat = bounds.copy()
+    flat[4, 1] = (1.0, 1.0)
+    with pytest.raises(ValueError, match="cell 4 "):
+        predict_cell_count(event_model, flat, tb)
+    still = tb.copy()
+    still[6, 1] = still[6, 0]
+    with pytest.raises(ValueError, match="cell 6 "):
+        predict_cell_count(event_model, bounds, still)
+    with pytest.raises(ValueError, match="row 9 "):
+        predict_cell_count(event_model, bounds, tb[:9])
+    with pytest.raises(ValueError, match="shape"):
+        predict_cell_count(event_model, bounds[:, :1], tb)
+
+
 def test_event_density_matches_components(event_model):
     x = np.array([2.0, 1.0])
     t = 3600.0
@@ -496,6 +604,74 @@ def test_model_dict_versioning(daily_data):
     bad = json.loads(json.dumps(payload))
     del bad["components"]
     with pytest.raises(ValueError):
+        model_from_dict(bad)
+
+
+def _corrupt(payload, field, value):
+    """Set the dotted/indexed path `field` (e.g. "components.0.weight")."""
+    *path, last = field.split(".")
+    node = payload
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("components.0.mean.1", float("nan"), r"components\[0\]\.mean"),
+    ("components.1.covariance.0.0", float("inf"),
+     r"components\[1\]\.covariance"),
+    ("spatial_stats.mean.0", float("nan"), r"spatial_stats\.mean"),
+    ("window.t_hi", float("inf"), r"window\.t_hi"),
+    ("components.1.weight", -0.2, r"components\[1\]\.weight"),
+    ("components.2.weight", 0.0, r"components\[2\]\.weight"),
+    ("spatial_stats.std.1", 0.0, r"spatial_stats\.std"),
+    ("spatial_stats.std.0", -1.0, r"spatial_stats\.std"),
+    ("periods", [-DAY], "periods"),
+    ("periods", [float("inf")], "periods"),
+    ("window.spatial_lo.0", 99.0, r"window\.spatial_lo"),
+])
+def test_model_from_dict_rejects_bad_field(event_model, field, value, match):
+    bad = json.loads(json.dumps(model_to_dict(event_model)))
+    _corrupt(bad, field, value)
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(bad)
+
+
+def test_model_from_dict_rejects_weights_not_summing_to_one(event_model):
+    bad = json.loads(json.dumps(model_to_dict(event_model)))
+    for comp in bad["components"]:
+        comp["weight"] *= 5.0
+    with pytest.raises(ValueError, match="sum to"):
+        model_from_dict(bad)
+    # Rounding-level deviations from 1 still load.
+    ok = json.loads(json.dumps(model_to_dict(event_model)))
+    ok["components"][0]["weight"] += 1e-12
+    model_from_dict(ok)
+
+
+def test_model_from_dict_rejects_bad_covariance(event_model):
+    payload = model_to_dict(event_model)
+    cov = np.array(payload["components"][1]["covariance"])
+    indefinite = json.loads(json.dumps(payload))
+    indefinite["components"][1]["covariance"] = (
+        cov - 2 * np.linalg.eigvalsh(cov).max() * np.eye(len(cov))).tolist()
+    with pytest.raises(ValueError,
+                       match=r"components\[1\]\.covariance is not positive"):
+        model_from_dict(indefinite)
+    skewed = json.loads(json.dumps(payload))
+    skewed["components"][1]["covariance"][0][1] += 1e-3
+    with pytest.raises(ValueError,
+                       match=r"components\[1\]\.covariance is not symmetric"):
+        model_from_dict(skewed)
+
+
+def test_model_from_dict_rejects_non_positive_definite_value_variance(
+        daily_data):
+    model = build(daily_data, BuildConfig(
+        fit=FitConfig(n_clusters=1, seed=42), max_h=1, auto_clusters=False))
+    bad = json.loads(json.dumps(model_to_dict(model)))
+    bad["components"][0]["covariance"][0][0] = -1.0
+    with pytest.raises(ValueError, match=r"components\[0\]\.covariance"):
         model_from_dict(bad)
 
 
