@@ -18,13 +18,16 @@ marginal over the non-value dimensions and the regression of the value
 on them.  A :class:`MixtureModel` builds its core on the first
 evaluation (or on `MixtureModel.core`) and keeps it: a component edited
 before that is honoured, one edited after it is not.  Each EM iteration
-builds a core from its current parameters for the E-step.
+builds a core from its current parameters for the E-step.  Densities
+solve against the cached factor with LAPACK's ``dtrtrs`` directly, as
+``scipy.linalg.solve_triangular`` would, checking only that the points
+are finite.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .projection import DimensionLayout
 
@@ -93,15 +96,31 @@ def _factor(cov):
     """Lower Cholesky factor of `cov` and the log-normaliser
     ``dim * log(2 pi) + log det cov`` of a Gaussian with that covariance."""
     chol = np.linalg.cholesky(cov)
+    if not np.isfinite(chol).all():
+        raise np.linalg.LinAlgError("covariance has a non-finite entry")
     logdet = 2.0 * float(np.log(np.diag(chol)).sum())
     return chol, cov.shape[0] * _LOG_2PI + logdet
 
 
 def _logpdf_at(diff, chol, norm):
-    """Gaussian log density at deviations `diff` (N, dim) from the mean."""
-    if diff.shape[1] == 0:
+    """Gaussian log density at deviations `diff` (N, dim) from the mean.
+
+    Solves ``chol @ dev = diff.T`` with LAPACK's ``dtrtrs``, called the
+    way ``scipy.linalg.solve_triangular(chol, diff.T, lower=True)`` calls
+    it, so the result is that formula's bit for bit; only the wrapper's
+    per-call checks are left out.
+    """
+    if diff.size == 0:
         return np.zeros(diff.shape[0])
-    dev = solve_triangular(chol, diff.T, lower=True)
+    if not np.isfinite(diff).all():
+        raise ValueError("cannot evaluate a Gaussian at a non-finite point")
+    if chol.flags.f_contiguous:
+        dev, info = dtrtrs(chol, diff.T, lower=1, trans=0)
+    else:
+        # dtrtrs expects Fortran order: solve the transposed system.
+        dev, info = dtrtrs(chol.T, diff.T, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     quad = np.einsum("ij,ij->j", dev, dev)
     return -0.5 * (norm + quad)
 

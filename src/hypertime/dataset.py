@@ -5,10 +5,17 @@ taken at time ``t`` and spatial position ``x``) or *event* (records are
 bare occurrences at ``(t, x)``, e.g. detections of a person at a place).
 Valued datasets feed regression-style models, event datasets feed
 count/density models; everything downstream branches on ``Dataset.mode``.
+
+`load_csv` parses a file with numpy's C reader when it is plain numbers,
+and otherwise row by row with the csv module; the row loop accepts what
+``float()`` accepts, reports the first bad line, and is the reference
+the C path must match: the same Dataset bit for bit, or no answer.
 """
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +132,74 @@ def load_csv(path, schema=None) -> Dataset:
     naming the offending 1-based line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    # Table columns: t, then a (valued data only), then x1..xd.
+    table, valued = _c_table(text, schema) or _row_table(text, schema)
+    # Stable sort keeps the file order of duplicate timestamps.
+    order = np.argsort(table[:, 0], kind="stable")
+    return Dataset(
+        table[order, 0],
+        table[order, 1 + valued:],
+        table[order, 1] if valued else None,
+    )
+
+
+# Python float() rejects these separators, which numpy strips as
+# whitespace around a number.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _c_table(text, schema):
+    """``(table, valued)`` as `_row_table` returns it, parsed by numpy's
+    C reader, or None where only the row loop can tell the answer.
+
+    numpy converts each field with the routine float() uses but accepts
+    less: it raises on quotes, underscores, non-ASCII digits and lone
+    ``\\r`` line ends.  Wherever else the row loop raises, numpy raises
+    too or returns no rows, the wrong width or a non-finite entry, and
+    each of those is refused here.  The two inputs numpy reads and the
+    loop refuses are screened out first: the separators above, and a
+    field longer than ``csv.field_size_limit()``.
+    """
+    if any(c in text for c in _NUMPY_ONLY_SPACE) or _has_long_line(text):
+        return None
+    buf = io.StringIO(text, newline="")
+    try:
+        header = (list(schema) if schema is not None
+                  else next(filter(None, csv.reader(buf)), None))
+        if header is None:
+            return None
+        t_idx, a_idx, x_idxs = _column_roles(header, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            raw = np.loadtxt(buf, delimiter=",", comments=None, ndmin=2,
+                             dtype=float)
+    except Exception:  # the row loop words every error
+        return None
+    if (raw.shape[0] == 0 or raw.shape[1] != len(header)
+            or not np.isfinite(raw).all()):
+        return None
+    cols = [t_idx] + ([] if a_idx is None else [a_idx]) + x_idxs
+    return raw[:, cols], a_idx is not None
+
+
+def _has_long_line(text):
+    """Whether a line of `text` may hold more characters than csv.reader
+    accepts in one field (lines are split at ``\\n`` and measured in
+    UTF-8 bytes, so the answer errs towards yes)."""
+    limit = csv.field_size_limit()
+    if len(text) <= limit:
+        return False
+    data = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(data == 10)
+    return bool(np.diff(ends, prepend=-1, append=data.size).max() > limit)
+
+
+def _row_table(text, schema):
+    """Parse `text` row by row: the (rows, 1 + valued + d) table in
+    column order t, a, x1..xd, and whether an ``a`` column is present.
+    Raises the line-numbered ``ValueError`` of the first bad line."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows:
         raise ValueError("empty file")
@@ -159,14 +233,7 @@ def load_csv(path, schema=None) -> Dataset:
                         if not math.isfinite(v))
             raise ValueError(f"line {line_no}: non-finite {kind}")
         table[k] = fields
-
-    # Stable sort keeps the file order of duplicate timestamps.
-    order = np.argsort(table[:, 0], kind="stable")
-    return Dataset(
-        table[order, 0],
-        table[order, len(cols) - len(x_idxs):],
-        None if a_idx is None else table[order, 1],
-    )
+    return table, a_idx is not None
 
 
 def save_csv(dataset: Dataset, path) -> None:

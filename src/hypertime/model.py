@@ -122,14 +122,14 @@ class HypertimeModel:
 
 
 def _as_queries(model: HypertimeModel, x, t):
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.atleast_1d(_finite(t, "query time t"))
     n = times.shape[0]
     d = model.layout.spatial_dim
     if d == 0:
         return np.empty((n, 0)), times
     if x is None:
         raise ValueError("model has spatial dimensions; x is required")
-    coords = np.asarray(x, dtype=float)
+    coords = _finite(x, "query coordinate x")
     if np.ndim(t) == 0:
         if coords.size != d:
             raise ValueError(f"expected {d} spatial coordinates")
@@ -158,18 +158,17 @@ def density(model: HypertimeModel, a=None, x=None, t=0.0):
     Valued models take (a, x, t); event models take (x, t) only.
     """
     coords, times = _as_queries(model, x, t)
-    rest = _rest_points(model, coords, times)
     if model.mode == VALUED:
         if a is None:
             raise ValueError("valued models require the value a")
-        av = np.atleast_1d(np.asarray(a, dtype=float))
+        av = np.atleast_1d(_finite(a, "query value a"))
         if av.shape != times.shape:
             raise ValueError("a does not match the query times")
-        pts = np.hstack([av.reshape(-1, 1), rest])
-    else:
-        if a is not None:
-            raise ValueError("event models take no value argument")
-        pts = rest
+    elif a is not None:
+        raise ValueError("event models take no value argument")
+    pts = _rest_points(model, coords, times)
+    if model.mode == VALUED:
+        pts = np.hstack([av.reshape(-1, 1), pts])
     out = model.gamma * model.mixture.pdf(pts)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -640,12 +639,14 @@ def model_from_dict(payload: dict) -> HypertimeModel:
         mixture = MixtureModel(comps, layout, fit_log)
         mixture.core  # factoring is the positive-definiteness check
         st, win = payload["spatial_stats"], payload["window"]
-        std = _finite(st["std"], "spatial_stats.std")
+        d = layout.spatial_dim
+        std = _per_dim(st["std"], "spatial_stats.std", d)
         if np.any(std <= 0):
             raise ValueError("spatial_stats.std must be positive")
-        stats = SpatialStats(_finite(st["mean"], "spatial_stats.mean"), std)
-        lo = _finite(win["spatial_lo"], "window.spatial_lo")
-        hi = _finite(win["spatial_hi"], "window.spatial_hi")
+        stats = SpatialStats(_per_dim(st["mean"], "spatial_stats.mean", d),
+                             std)
+        lo = _per_dim(win["spatial_lo"], "window.spatial_lo", d)
+        hi = _per_dim(win["spatial_hi"], "window.spatial_hi", d)
         if np.any(lo > hi):
             raise ValueError("window.spatial_lo exceeds window.spatial_hi")
         window = TrainingWindow(lo, hi,
@@ -679,6 +680,15 @@ def _finite(values, name) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} holds a non-finite number")
+    return arr
+
+
+def _per_dim(values, name, d) -> np.ndarray:
+    """`values` as one finite entry per spatial dimension."""
+    arr = np.atleast_1d(_finite(values, name))
+    if arr.shape != (d,):
+        raise ValueError(f"{name} has shape {arr.shape}; the layout has "
+                         f"{d} spatial dimensions")
     return arr
 
 

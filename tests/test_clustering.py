@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from hypertime import (
@@ -16,7 +17,8 @@ from hypertime import (
     kmeans_init,
     mixed_distance,
 )
-from hypertime.clustering import MixtureCore, _logsumexp
+from hypertime.clustering import (MixtureCore, _factor, _logpdf_at,
+                                  _logsumexp)
 
 VALUE_ONLY = DimensionLayout(True, 0, 0)
 VALUE_1D = DimensionLayout(True, 1, 0)
@@ -110,6 +112,38 @@ def test_logsumexp_matches_scipy_bit_for_bit(k):
     cols = np.ascontiguousarray(rows.T)
     assert same_bits(_logsumexp(rows, axis=1), logsumexp(rows, axis=1))
     assert same_bits(_logsumexp(cols, axis=0), logsumexp(cols, axis=0))
+
+
+def solved_logpdf(diff, chol, norm):
+    """The Gaussian log density through scipy's solve_triangular, the
+    formula `_logpdf_at` replaces."""
+    if diff.shape[1] == 0:
+        return np.zeros(diff.shape[0])
+    dev = solve_triangular(chol, diff.T, lower=True)
+    quad = np.einsum("ij,ij->j", dev, dev)
+    return -0.5 * (norm + quad)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_logpdf_at_matches_solve_triangular_bit_for_bit(dim):
+    rng = np.random.default_rng(200 + dim)
+    a = rng.normal(0, 1, (dim, dim))
+    chol, norm = _factor(a @ a.T + 0.1 * np.eye(dim))
+    for factor in (chol, np.asfortranarray(chol)):
+        for n in (0, 1, 2, 1000):
+            diff = rng.normal(0, 3, (n, dim))
+            got = _logpdf_at(diff, factor, norm)
+            assert got.shape == (n,)
+            assert same_bits(got, solved_logpdf(diff, factor, norm))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logpdf_at_rejects_non_finite_rows(bad):
+    chol, norm = _factor(np.eye(3))
+    diff = np.zeros((4, 3))
+    diff[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _logpdf_at(diff, chol, norm)
 
 
 @pytest.mark.parametrize("layout", [

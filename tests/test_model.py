@@ -6,6 +6,7 @@ independent oracle for the Gaussian marginalization identities.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -607,6 +608,21 @@ def test_model_dict_versioning(daily_data):
         model_from_dict(bad)
 
 
+@pytest.mark.parametrize("query, match", [
+    (dict(x=[0.5], t=float("nan")), "query time t"),
+    (dict(x=[[0.5], [0.5]], t=[0.0, float("inf")]), "query time t"),
+    (dict(x=[float("nan")], t=0.0), "query coordinate x"),
+    (dict(a=float("inf"), x=[0.5], t=0.0), "query value a"),
+])
+def test_queries_reject_non_finite_inputs_by_name(query, match):
+    model = single_component_model(np.random.default_rng(8), 1, 1)
+    call = density if "a" in query else predict_mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning from cos/sin first
+        with pytest.raises(ValueError, match=f"{match} holds a non-finite"):
+            call(model, **query)
+
+
 def _corrupt(payload, field, value):
     """Set the dotted/indexed path `field` (e.g. "components.0.weight")."""
     *path, last = field.split(".")
@@ -629,6 +645,11 @@ def _corrupt(payload, field, value):
     ("periods", [-DAY], "periods"),
     ("periods", [float("inf")], "periods"),
     ("window.spatial_lo.0", 99.0, r"window\.spatial_lo"),
+    # One entry per spatial dimension; the event model has two.
+    ("spatial_stats.mean", [4.0], r"spatial_stats\.mean has shape \(1,\)"),
+    ("spatial_stats.std", [1.0, 1.0, 1.0], r"spatial_stats\.std has shape"),
+    ("window.spatial_lo", [0.0], r"window\.spatial_lo has shape"),
+    ("window.spatial_hi", 9.0, r"window\.spatial_hi has shape"),
 ])
 def test_model_from_dict_rejects_bad_field(event_model, field, value, match):
     bad = json.loads(json.dumps(model_to_dict(event_model)))
