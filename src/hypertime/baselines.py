@@ -59,10 +59,14 @@ class HistPredictor:
 
     def predict(self, x, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.floor(self.n * np.mod(tt, DAY_SECONDS) / DAY_SECONDS)
-        idx = np.clip(idx.astype(int), 0, self.n - 1)
-        out = self.interval_means[idx]
+        out = self.interval_means[_interval(tt, self.n)]
         return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _interval(times, n: int) -> np.ndarray:
+    """Time-of-day interval of each time, out of n equal ones."""
+    idx = np.floor(n * np.mod(times, DAY_SECONDS) / DAY_SECONDS)
+    return np.clip(idx.astype(int), 0, n - 1)
 
 
 class FremenPredictor:
@@ -80,11 +84,25 @@ class FremenPredictor:
 
     def predict(self, x, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(tt.shape, self.mean)
-        for period, coef in zip(self.periods, self.coefficients):
-            phase = 2.0 * np.pi * tt / period
-            out += 2.0 * (coef.real * np.cos(phase) - coef.imag * np.sin(phase))
+        out = _fremen_values(np.array([self.mean]), self.periods[None],
+                             self.coefficients[None], tt)[0]
         return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _fremen_values(means, periods, coefs, query) -> np.ndarray:
+    """``mean + sum_k 2*Re(c_k * exp(+j*2*pi*t/T_k))`` at `query` for each
+    row of kept `periods` and `coefs` (n, m), as (n, q).  Each distinct
+    period's cos/sin serve every row; terms add in each row's order."""
+    out = np.repeat(means[:, None], query.shape[0], axis=1)
+    distinct, which = np.unique(periods, return_inverse=True)
+    phase = 2.0 * np.pi * query / distinct[:, None]
+    cos, sin = np.cos(phase), np.sin(phase)
+    which = which.reshape(periods.shape)
+    for k in range(periods.shape[1]):
+        coef = coefs[:, k, None]
+        out += 2.0 * (coef.real * cos[which[:, k]]
+                      - coef.imag * sin[which[:, k]])
+    return out
 
 
 def _require_valued(train: Dataset):
@@ -103,16 +121,19 @@ def hist_predictor(train: Dataset, n: int) -> HistPredictor:
     _require_valued(train)
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.floor(n * np.mod(train.times, DAY_SECONDS) / DAY_SECONDS)
-    idx = np.clip(idx.astype(int), 0, n - 1)
-    global_mean = float(train.values.mean())
-    # Per-bin np.mean keeps Hist_1 bitwise equal to the global mean.
-    means = np.full(n, global_mean)
-    for b in range(n):
-        mask = idx == b
-        if mask.any():
-            means[b] = train.values[mask].mean()
-    return HistPredictor(n, means, global_mean)
+    means = _interval_means(train.times, train.values[None], n)[0]
+    return HistPredictor(n, means, train.values.mean())
+
+
+def _interval_means(times, rows, n: int) -> np.ndarray:
+    """Time-of-day interval means (r, n) of each row of `rows` (r, l) on
+    the shared `times`; an interval without data takes the row's mean.
+    Per-interval `np.mean` keeps Hist_1 bitwise equal to the mean."""
+    idx = _interval(times, n)
+    means = np.repeat(rows.mean(axis=1)[:, None], n, axis=1)
+    for b in np.unique(idx):
+        means[:, b] = rows[:, idx == b].mean(axis=1)
+    return means
 
 
 def _fremen_candidates(duration: float, m: int, candidates) -> list[float]:
@@ -157,31 +178,48 @@ def fremen_predictor(train: Dataset, m: int, candidates=None) -> FremenPredictor
     return FremenPredictor(mean, kept, coefs[0])
 
 
-def fremen_predictors(times, rows, m: int,
-                      candidates=None) -> list[FremenPredictor]:
-    """One FreMEn fit per row of `rows` (n, l), all on the shared `times`.
+class RowsPredictor:
+    """One baseline fitted to each row of `rows` (n, l), every row a
+    series on the shared `times`; `predict` returns (n, q).
 
-    All rows are ranked over one phase table (`ranked_candidates`), and
-    each kept period's cos/sin are computed once for all rows, so every
-    row gets exactly the fit ``fremen_predictor`` makes of it.
+    Row r predicts as ``make_baseline(Dataset(times, values=rows[r]), cfg,
+    candidates)`` does, bit for bit when the rows hold counts, whose sums
+    are exact in any order.  FreMEn rows are ranked over one phase table
+    (`ranked_candidates`), and each distinct kept period's cos/sin serve
+    every row.
     """
-    times = np.asarray(times, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    candidates = _fremen_candidates(float(times.max() - times.min()), m,
-                                    candidates)
-    means = rows.mean(axis=1)
-    if m == 0:
-        return [FremenPredictor(mean, np.empty(0), np.empty(0, dtype=complex))
-                for mean in means]
-    centered = rows - means[:, None]
-    kept = ranked_candidates(times, centered, candidates)[:, :m]
-    periods = np.asarray(candidates)[kept]
-    coefs = _coefficients(times, centered, periods)
-    return [FremenPredictor(*fit) for fit in zip(means, periods, coefs)]
+
+    def __init__(self, times, rows, cfg: BaselineConfig, candidates=None):
+        times, rows = (np.asarray(a, dtype=float) for a in (times, rows))
+        self.cfg = cfg
+        self.means = rows.mean(axis=1)
+        if cfg.kind == "hist":
+            self.interval_means = _interval_means(times, rows,
+                                                  cfg.n_intervals)
+        elif cfg.kind == "fremen":
+            m = cfg.m_components
+            candidates = _fremen_candidates(float(times.max() - times.min()),
+                                            m, candidates)
+            centered = rows - self.means[:, None]
+            kept = (ranked_candidates(times, centered, candidates)[:, :m]
+                    if m else np.empty((len(rows), 0), int))
+            self.periods = np.asarray(candidates)[kept]
+            self.coefficients = _coefficients(times, centered, self.periods)
+
+    def predict(self, x, t):
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        if self.cfg.kind == "hist":
+            return self.interval_means[:, _interval(tt, self.cfg.n_intervals)]
+        if self.cfg.kind == "mean":
+            return np.repeat(self.means[:, None], tt.shape[0], axis=1)
+        return _fremen_values(self.means, self.periods, self.coefficients, tt)
 
 
-def make_baseline(train: Dataset, cfg: BaselineConfig, candidates=None):
-    """Build the predictor described by `cfg`."""
+def make_baseline(train, cfg: BaselineConfig, candidates=None):
+    """Build the predictor described by `cfg` for a valued Dataset, or a
+    `RowsPredictor` for ``train = (times, rows)``."""
+    if isinstance(train, tuple):
+        return RowsPredictor(*train, cfg, candidates)
     if cfg.kind == "mean":
         return mean_predictor(train)
     if cfg.kind == "hist":

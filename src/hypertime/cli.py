@@ -115,18 +115,14 @@ def _parse_clusters(text):
     return n
 
 
-def _parse_int_list(text, what):
+def _resolve_list(args, config, key, cast=int):
+    """`_resolve` of a comma-separated list of `cast` values."""
+    text = str(_resolve(args, config, key))
     try:
-        return [int(v) for v in str(text).split(",") if v.strip() != ""]
+        return [cast(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise CliError(f"{what}: expected comma-separated integers") from None
-
-
-def _parse_float_list(text, what):
-    try:
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError:
-        raise CliError(f"{what}: expected comma-separated numbers") from None
+        kind = "integers" if cast is int else "numbers"
+        raise CliError(f"{key}: expected comma-separated {kind}") from None
 
 
 def _load(path, schema):
@@ -299,10 +295,8 @@ def _evaluate_valued(args, config, train, folds, clamp):
         _resolve(args, config, "candidates", int),
     )
 
-    hist_range = _parse_int_list(_resolve(args, config, "hist_range"),
-                                 "hist_range")
-    fremen_range = _parse_int_list(_resolve(args, config, "fremen_range"),
-                                   "fremen_range")
+    hist_range = _resolve_list(args, config, "hist_range")
+    fremen_range = _resolve_list(args, config, "fremen_range")
     best_hist = sweep(head, tail, lambda tr, n: hist_predictor(tr, n),
                       hist_range).best
     best_fremen = sweep(
@@ -311,33 +305,25 @@ def _evaluate_valued(args, config, train, folds, clamp):
         fremen_range).best
 
     clusters = _parse_clusters(_resolve(args, config, "clusters"))
-    max_h = _resolve(args, config, "max_h", int)
-    longest = _resolve(args, config, "longest_period", float)
-    n_cand = _resolve(args, config, "candidates", int)
+    shared = dict(
+        max_h=_resolve(args, config, "max_h", int),
+        longest_period=_resolve(args, config, "longest_period", float),
+        n_candidates=_resolve(args, config, "candidates", int))
 
     def em_cfg(k):
-        return BuildConfig(
-            fit=FitConfig(n_clusters=k, seed=seed, backend="em"),
-            max_h=max_h, longest_period=longest, n_candidates=n_cand,
-            auto_clusters=False,
-        )
+        return BuildConfig(fit=FitConfig(n_clusters=k, seed=seed,
+                                         backend="em"),
+                           auto_clusters=False, **shared)
 
     if isinstance(clusters, int):
         em_k = clusters
     else:
-        clusters_range = _parse_int_list(
-            _resolve(args, config, "clusters_range"), "clusters_range")
         em_k = sweep(head, tail, lambda tr, k: build(tr, em_cfg(k)),
-                     clusters_range).best
-
-    km_cfg = BuildConfig(
-        fit=FitConfig(seed=seed, backend="km"),
-        max_h=max_h, longest_period=longest, n_candidates=n_cand,
-        auto_clusters=True,
-    )
+                     _resolve_list(args, config, "clusters_range")).best
 
     em_model = build(train, em_cfg(em_k))
-    km_model = build(train, km_cfg)
+    km_model = build(train, BuildConfig(
+        fit=FitConfig(seed=seed, backend="km"), auto_clusters=True, **shared))
     predictors = {
         "Mean": mean_predictor(train),
         f"Hist_{best_hist}": hist_predictor(train, best_hist),
@@ -384,10 +370,8 @@ def _evaluate_event(args, config, train, folds):
     def grid_scorer(grid, _validation):
         return rmse(grid.predicted.reshape(-1), val_counts.reshape(-1))
 
-    hist_range = _parse_int_list(_resolve(args, config, "hist_range"),
-                                 "hist_range")
-    fremen_range = _parse_int_list(_resolve(args, config, "fremen_range"),
-                                   "fremen_range")
+    hist_range = _resolve_list(args, config, "hist_range")
+    fremen_range = _resolve_list(args, config, "fremen_range")
     best_hist = sweep(head, tail, baseline_factory("hist"), hist_range,
                       scorer=grid_scorer).best
     best_fremen = sweep(head, tail, baseline_factory("fremen"), fremen_range,
@@ -403,13 +387,12 @@ def _evaluate_event(args, config, train, folds):
     }
     per_fold = {name: [] for name in methods}
     heatmaps = []
-    spatial_edges = _resolve(args, config, "spatial_edges")
-    temporal_edges = _resolve(args, config, "temporal_edges")
     edge_pairs = [(spatial_edge, temporal_edge)]
-    if spatial_edges is not None and temporal_edges is not None:
-        ses = _parse_float_list(spatial_edges, "spatial_edges")
-        tes = _parse_float_list(temporal_edges, "temporal_edges")
-        edge_pairs = [(a, b) for a in ses for b in tes]
+    if None not in (_resolve(args, config, "spatial_edges"),
+                    _resolve(args, config, "temporal_edges")):
+        edge_pairs = list(itertools.product(
+            _resolve_list(args, config, "spatial_edges", float),
+            _resolve_list(args, config, "temporal_edges", float)))
     for fi, fold in enumerate(folds):
         span = float(fold.times.min()), float(fold.times.max())
         spec = training_grid(model.window, *span, spatial_edge, temporal_edge)
@@ -444,10 +427,14 @@ def _dump_heatmaps(heatmaps, out_dir, force):
                                                               "predicted"])]
         axes = [spec.spatial_centers(d) for d in range(spec.spatial_dim)]
         axes.append(spec.temporal_centers)
-        # One string per axis value; cells run in C order like obs/pred.
+        # One string per axis value and per distinct observed count;
+        # cells run in C order like obs/pred.
         cells = itertools.product(*map(_fmt_all, axes))
+        counts, which = np.unique(np.asarray(obs, dtype=float),
+                                  return_inverse=True)
+        observed = np.array(_fmt_all(counts), dtype=object)[which.ravel()]
         lines += [" ".join((*cell, o, p)) for cell, o, p
-                  in zip(cells, _fmt_all(obs), _fmt_all(pred))]
+                  in zip(cells, observed.tolist(), _fmt_all(pred))]
         name = f"heatmap_fold{fi}_s{se:g}_t{te:g}.dat"
         path = os.path.join(out_dir, name)
         _write_text(path, "\n".join(lines) + "\n", force)
@@ -618,10 +605,7 @@ def main(argv=None) -> int:
         config = _read_config(args.config) if getattr(args, "config", None) \
             else {}
         return _COMMANDS[args.command](args, config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

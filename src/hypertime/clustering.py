@@ -103,17 +103,23 @@ def _factor(cov):
 
 
 def _logpdf_at(diff, chol, norm):
-    """Gaussian log density at deviations `diff` (N, dim) from the mean.
+    """Gaussian log density at deviations `diff` (N, dim) from the mean."""
+    dev = _whiten(diff, chol)
+    return -0.5 * (norm + np.einsum("ij,ij->j", dev, dev))
 
-    Solves ``chol @ dev = diff.T`` with LAPACK's ``dtrtrs``, called the
-    way ``scipy.linalg.solve_triangular(chol, diff.T, lower=True)`` calls
-    it, so the result is that formula's bit for bit; only the wrapper's
+
+def _whiten(diff, chol):
+    """``chol^-1 diff.T`` (dim, N) for deviations `diff` (N, dim).
+
+    Calls LAPACK's ``dtrtrs`` the way
+    ``scipy.linalg.solve_triangular(chol, diff.T, lower=True)`` calls it,
+    so the result is that formula's bit for bit; only the wrapper's
     per-call checks are left out.
     """
-    if diff.size == 0:
-        return np.zeros(diff.shape[0])
     if not np.isfinite(diff).all():
         raise ValueError("cannot evaluate a Gaussian at a non-finite point")
+    if diff.size == 0:
+        return np.zeros(diff.shape[::-1])
     if chol.flags.f_contiguous:
         dev, info = dtrtrs(chol, diff.T, lower=1, trans=0)
     else:
@@ -121,8 +127,7 @@ def _logpdf_at(diff, chol, norm):
         dev, info = dtrtrs(chol.T, diff.T, lower=0, trans=1)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-    quad = np.einsum("ij,ij->j", dev, dev)
-    return -0.5 * (norm + quad)
+    return dev
 
 
 def _logsumexp(a, axis):
@@ -245,10 +250,6 @@ class MixtureModel:
         return len(self.components)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    @property
     def core(self) -> MixtureCore:
         """The mixture's factors, built on first use and then kept."""
         if self._core is None:
@@ -266,6 +267,64 @@ class MixtureModel:
 
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.logpdf(points))
+
+    def product_pdf(self, spatial, temporal):
+        """``pdf(times)``: the (B, P, t) densities at every pairing of the P
+        points of `spatial` (B, P, s), the first s coordinates, with the
+        times `temporal[:, times]` of the same box, the rest.
+
+        Each cached factor splits as ``L = [[L_ss, 0], [L_ts, L_tt]]``, so
+        the whitened deviation of a pair (x, h) is ``(z, u - V)`` with
+        ``z = L_ss^-1 (x - mu_s)`` and ``V = L_tt^-1 L_ts z`` solved once
+        per point, ``u = L_tt^-1 (h - mu_t)`` once per time, and the
+        quadratic form ``|z|^2 + |V|^2 + |u|^2 - 2 V.u`` of all pairs
+        takes one matrix product.  A box of one point or one time shares
+        nothing, so its pairs go through `pdf` as rows.  The expansion
+        rounds to about eps * (|V|^2 + |u|^2) in the log density, so a
+        component tight in time loses digits: 1e-14 relative on fitted
+        event models, 8e-14 with every temporal variance shrunk 100-fold.
+        """
+        n_box, n_pts, s = spatial.shape
+        n_t = temporal.shape[1]
+        if n_pts == 1 or n_t == 1:
+            rows = np.empty((n_box, n_pts, n_t, self.layout.width))
+            rows[..., :s] = spatial[:, :, None]
+            rows[..., s:] = temporal[:, None]
+
+            def pdf(times):
+                pts = rows[:, :, times]
+                b, p, t, w = pts.shape
+                flat = pts.reshape(b * p * t, w)
+                return self.pdf(flat).reshape(pts.shape[:3])
+            return pdf
+        terms = []
+        core = self.core
+        for lw, mean, (chol, norm) in zip(core.log_weights, core.means,
+                                          core.factors):
+            z = _whiten((spatial - mean[:s]).reshape(n_box * n_pts, s),
+                        chol[:s, :s])
+            sol = _whiten(np.vstack([
+                (temporal - mean[s:]).reshape(n_box * n_t, -1),
+                z.T @ chol[s:, :s].T]), chol[s:, s:])
+            u = sol[:, :n_box * n_t].reshape(-1, n_box, n_t)
+            v = sol[:, n_box * n_t:].reshape(-1, n_box, n_pts)
+            # Per point lw - (norm + |z|^2 + |V|^2) / 2 and per time
+            # -|u|^2 / 2; each pair adds V.u.
+            per_pt = lw - 0.5 * (norm + (z * z).sum(axis=0)
+                                 + (v * v).sum(axis=0).reshape(-1))
+            terms.append((per_pt.reshape(n_box, n_pts, 1),
+                          v.transpose(1, 2, 0),
+                          -0.5 * (u * u).sum(axis=0)[:, None],
+                          u.transpose(1, 0, 2)))
+
+        def pdf(times):
+            out = np.empty((len(terms), n_box, n_pts, len(range(n_t)[times])))
+            for j, (per_pt, v, per_t, u) in enumerate(terms):
+                np.matmul(v, u[..., times], out=out[j])
+                out[j] += per_pt
+                out[j] += per_t[..., times]
+            return np.exp(_logsumexp(out, axis=0))
+        return pdf
 
 
 # ---------------------------------------------------------------------------

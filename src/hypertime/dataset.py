@@ -199,8 +199,16 @@ def _row_table(text, schema):
     """Parse `text` row by row: the (rows, 1 + valued + d) table in
     column order t, a, x1..xd, and whether an ``a`` column is present.
     Raises the line-numbered ``ValueError`` of the first bad line."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
+    rows, line_no = [], 0
+    try:
+        for line_no, row in enumerate(
+                csv.reader(io.StringIO(text, newline="")), start=1):
+            if row:
+                rows.append((line_no, row))
+    except csv.Error as exc:
+        why = (f"field longer than {csv.field_size_limit()} characters"
+               if "field limit" in str(exc) else str(exc))
+        raise ValueError(f"line {line_no + 1}: {why}") from None
     if not rows:
         raise ValueError("empty file")
     if schema is None:
@@ -262,15 +270,9 @@ def split_by_time(dataset: Dataset, boundary: float):
     if n_first == len(dataset):
         raise ValueError("split boundary leaves the second partition empty")
     vals = dataset.values
-
-    def _take(m):
-        return Dataset(
-            dataset.times[m],
-            dataset.coords[m],
-            None if vals is None else vals[m],
-        )
-
-    return _take(mask), _take(~mask)
+    return tuple(Dataset(dataset.times[m], dataset.coords[m],
+                         None if vals is None else vals[m])
+                 for m in (mask, ~mask))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _sstats
 
-from .baselines import BaselineConfig, fremen_predictors, make_baseline
+from .baselines import BaselineConfig, make_baseline
 from .dataset import Dataset
 
 _EDGE_EPS = 1e-12
@@ -81,11 +81,9 @@ class GridSpec:
         hi = np.atleast_1d(np.asarray(spatial_hi, dtype=float))
         if spatial_edge <= 0 or temporal_edge <= 0:
             raise ValueError("cell sizes must be positive")
-        ns = tuple(int(np.ceil((b - a) / spatial_edge - _EDGE_EPS))
+        ns = tuple(max(int(np.ceil((b - a) / spatial_edge - _EDGE_EPS)), 1)
                    for a, b in zip(lo, hi))
-        nt = int(np.ceil((t_hi - t_lo) / temporal_edge - _EDGE_EPS))
-        ns = tuple(max(k, 1) for k in ns)
-        nt = max(nt, 1)
+        nt = max(int(np.ceil((t_hi - t_lo) / temporal_edge - _EDGE_EPS)), 1)
         if expand:
             hi = lo + np.asarray(ns, dtype=float) * spatial_edge
             t_hi = t_lo + nt * temporal_edge
@@ -162,14 +160,9 @@ def grid_count(events: Dataset, spec: GridSpec) -> EvaluationGrid:
     kt = np.floor(rel_t).astype(int)
     inside &= (kt >= 0) & (kt < spec.n_temporal)
     idxs.append(kt)
-    counts = np.zeros(spec.shape)
-    if np.any(inside):
-        flat = np.ravel_multi_index(
-            tuple(k[inside] for k in idxs), spec.shape
-        )
-        counts = np.bincount(flat, minlength=spec.n_cells).astype(float)
-        counts = counts.reshape(spec.shape)
-    return EvaluationGrid(spec, counts)
+    flat = np.ravel_multi_index(tuple(k[inside] for k in idxs), spec.shape)
+    counts = np.bincount(flat, minlength=spec.n_cells).astype(float)
+    return EvaluationGrid(spec, counts.reshape(spec.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +309,8 @@ def per_cell_baseline(train_events: Dataset, spec: GridSpec,
     training period (same spatial layout and temporal edge as `spec`),
     the configured baseline is fitted to that per-bin count series, and
     its predictions at the grid's temporal bin centers become p_g.
-    The training period is the span of the training events.  FreMEn
-    cells share one phase table for their spectra, and each kept period's
-    cos/sin serve every cell (`fremen_predictors`).
+    The training period is the span of the training events.  All cells
+    are fitted at once (`RowsPredictor`), each exactly as on its own.
     """
     if train_events.mode != "event":
         raise ValueError("per_cell_baseline expects event data")
@@ -330,17 +322,7 @@ def per_cell_baseline(train_events: Dataset, spec: GridSpec,
         t0, t0 + n_train_bins * spec.temporal_edge, n_train_bins,
     )
     counts = grid_count(train_events, train_spec).observed
-    centers = train_spec.temporal_centers
-    predicted = np.zeros(spec.shape)
-    flat_counts = counts.reshape(-1, train_spec.n_temporal)
-    flat_pred = predicted.reshape(-1, spec.n_temporal)
-    query = spec.temporal_centers
-    if cfg.kind == "fremen":
-        predictors = fremen_predictors(centers, flat_counts, cfg.m_components,
-                                       candidates)
-    else:
-        predictors = [make_baseline(Dataset(centers, values=row), cfg,
-                                    candidates) for row in flat_counts]
-    for c, predictor in enumerate(predictors):
-        flat_pred[c] = np.atleast_1d(predictor.predict(None, query))
-    return EvaluationGrid(spec, np.zeros(spec.shape), predicted)
+    fits = make_baseline((train_spec.temporal_centers,
+                          counts.reshape(-1, n_train_bins)), cfg, candidates)
+    return EvaluationGrid(spec, np.zeros(spec.shape), fits.predict(
+        None, spec.temporal_centers).reshape(spec.shape))

@@ -14,9 +14,18 @@ gamma is calibrated so the training-set mean of those expectations
 equals the mean observed reading exactly.  Event models instead
 calibrate gamma so the predicted count over the training volume equals
 the number of training events.
+
+Event grids and batches of cells are evaluated by one function: each
+box (a whole grid, or one queried cell) is its spatial midpoints times
+its temporal midpoints, and `MixtureModel.product_pdf` solves against
+the cached Cholesky factors once per spatial point and once per time,
+then gets every pair's quadratic form from one matrix product.  A
+cell's density is the mean over its midpoints.  A collapsed spatial
+axis that leaves the calibration grid without mass is an error.
 """
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -37,6 +46,8 @@ MODEL_VERSION = 1
 # Event gamma integrates the density on cells this many times finer, per
 # axis, than the configured event grid.
 _CALIBRATION_REFINE = 2
+# Most (point, time) pairs evaluated at once on an event grid.
+_CHUNK = 500_000
 
 
 @dataclass
@@ -240,8 +251,16 @@ def _calibrate_event(model: HypertimeModel, n_events: int, cfg: BuildConfig):
     w = model.window
     spec = training_grid(w, w.t_lo, w.t_hi, cfg.event_spatial_bin,
                          cfg.event_temporal_bin, _CALIBRATION_REFINE)
-    mass = float(_event_cell_means(model, spec).sum()) * spec.cell_volume
+    mass = float(_grid_means(model, spec).sum()) * spec.cell_volume
     if not np.isfinite(mass) or mass <= 0.0:
+        flat = w.spatial_hi == w.spatial_lo
+        if flat.any():
+            k = int(np.argmax(flat))
+            raise ValueError(
+                f"every training event has x{k + 1} = "
+                f"{float(w.spatial_lo[k])!r}, so the fitted density is too "
+                "narrow across that axis to calibrate gamma; drop the "
+                "constant column (or raise FitConfig.eig_floor)")
         warnings.warn("degenerate event mass; gamma fixed to 1")
         return 1.0, True
     return n_events / mass, False
@@ -256,68 +275,74 @@ def calibrate_gamma(model: HypertimeModel, train: Dataset,
     over the training window to the number of events.  Degenerate data
     (e.g. all-zero readings) falls back to gamma = 1 with a warning.
     """
+    if train.mode != model.mode:
+        raise ValueError("model and data modes differ")
     if model.mode == VALUED:
-        if train.mode != VALUED:
-            raise ValueError("model and data modes differ")
-        gamma, _ = _calibrate_valued(model, train)
-    else:
-        if train.mode != EVENT:
-            raise ValueError("model and data modes differ")
-        gamma, _ = _calibrate_event(model, len(train), cfg or BuildConfig())
-    return gamma
+        return _calibrate_valued(model, train)[0]
+    return _calibrate_event(model, len(train), cfg or BuildConfig())[0]
 
 
 # ---------------------------------------------------------------------------
 # event grids
 
 
-def _event_cell_means(model: HypertimeModel, spec: GridSpec,
-                      subsample: int = 1) -> np.ndarray:
-    """Mean (unscaled) mixture density per cell via midpoint subsampling."""
+def _cell_means(model: HypertimeModel, lo, hi, t0, t1, n_spatial,
+                n_temporal: int, subsample: int) -> np.ndarray:
+    """Mean (unscaled) mixture density per cell of B boxes, each box
+    ``[lo[b], hi[b]) x [t0[b], t1[b])`` cut into `n_spatial` x
+    `n_temporal` cells (shape ``(B, *n_spatial, n_temporal)``).
+
+    A cell averages the density over `subsample` midpoints per axis.  A
+    grid is one box, a batch of cells one box per cell; either way the
+    densities come from `MixtureModel.product_pdf` over a box's spatial
+    times its temporal midpoints, in chunks of whole temporal cells of at
+    most `_CHUNK` (point, time) pairs.
+    """
     _require_mode(model, EVENT)
     s = int(subsample)
     if s < 1:
         raise ValueError("subsample must be >= 1")
-    d = spec.spatial_dim
+    n_box, d = lo.shape
     if d != model.layout.spatial_dim:
         raise ValueError("grid dimensionality does not match model")
-    axes = [
-        spec.spatial_lo[dim]
-        + (np.arange(spec.n_spatial[dim] * s) + 0.5) * (spec.spatial_edges[dim] / s)
-        for dim in range(d)
-    ]
-    if d:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    else:
-        coords = np.empty((1, 0))
-    coords_std = (coords - model.spatial_stats.mean) / model.spatial_stats.std
-    t_axis = spec.t_lo + (np.arange(spec.n_temporal * s) + 0.5) * (spec.temporal_edge / s)
-    ht = project_times(t_axis, model.projection)
-    m_sp = coords_std.shape[0]
-    dens = np.empty((m_sp, t_axis.shape[0]))
-    chunk = max(1, 500_000 // max(m_sp, 1))
-    for start in range(0, t_axis.shape[0], chunk):
-        stop = min(start + chunk, t_axis.shape[0])
-        block = np.empty(((stop - start) * m_sp, model.layout.width))
-        block[:, :d] = np.tile(coords_std, (stop - start, 1))
-        block[:, d:] = np.repeat(ht[start:stop], m_sp, axis=0)
-        dens[:, start:stop] = (
-            model.mixture.pdf(block).reshape(stop - start, m_sp).T
-        )
-    shape = []
-    for dim in range(d):
-        shape += [spec.n_spatial[dim], s]
-    shape += [spec.n_temporal, s]
-    arr = dens.reshape(shape)
-    sub_axes = tuple(range(1, 2 * (d + 1), 2))
-    return arr.mean(axis=sub_axes)
+    # Midpoint i of an axis with n cells sits at lo + (i + 1/2) * w / n / s,
+    # for a grid and for a batch cell (n = 1) alike.
+    n = np.asarray(n_spatial)
+    mids = np.indices(n * s).reshape(d, math.prod(n_spatial) * s**d).T + 0.5
+    coords = lo[:, None] + mids * ((hi - lo) / n / s)[:, None]
+    t_axis = t0[:, None] + (np.arange(n_temporal * s) + 0.5) \
+        * ((t1 - t0) / n_temporal / s)[:, None]
+    ht = project_times(t_axis.reshape(-1), model.projection)
+    n_pts = mids.shape[0]
+    cells = max(1, min(n_temporal, _CHUNK // (n_pts * s)))
+    boxes = max(1, _CHUNK // (n_pts * s * cells))
+    out = np.empty((n_box, *n_spatial, n_temporal))
+    for b0 in range(0, n_box, boxes):
+        b = slice(b0, b0 + boxes)
+        pdf = model.mixture.product_pdf(
+            (coords[b] - model.spatial_stats.mean) / model.spatial_stats.std,
+            ht.reshape(n_box, t_axis.shape[1], -1)[b])
+        for c0 in range(0, n_temporal, cells):
+            dens = pdf(slice(c0 * s, (c0 + cells) * s))
+            if s > 1:
+                split = [k for n_k in n_spatial for k in (n_k, s)]
+                dens = dens.reshape(len(dens), *split, -1, s).mean(
+                    axis=tuple(range(2, 2 * d + 3, 2)))
+            out[b, ..., c0:c0 + cells] = dens.reshape(len(dens), *n_spatial,
+                                                      -1)
+    return out
 
 
 def predict_counts(model: HypertimeModel, spec: GridSpec,
                    subsample: int = 1) -> np.ndarray:
     """Predicted event count per grid cell (shape ``spec.shape``)."""
-    return model.gamma * _event_cell_means(model, spec, subsample) * spec.cell_volume
+    return model.gamma * _grid_means(model, spec, subsample) * spec.cell_volume
+
+
+def _grid_means(model: HypertimeModel, spec: GridSpec, subsample: int = 1):
+    return _cell_means(model, spec.spatial_lo[None], spec.spatial_hi[None],
+                       np.array([spec.t_lo]), np.array([spec.t_hi]),
+                       spec.n_spatial, spec.n_temporal, subsample)[0]
 
 
 def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
@@ -333,9 +358,6 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
     negative or non-finite extent are rejected.
     """
     _require_mode(model, EVENT)
-    s = int(subsample)
-    if s < 1:
-        raise ValueError("subsample must be >= 1")
     d = model.layout.spatial_dim
     tb = np.asarray(t_bounds, dtype=float)
     sb = np.asarray(spatial_bounds, dtype=float)
@@ -358,41 +380,9 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
         where = "" if single else f" {int(np.flatnonzero(~ok)[0])}"
         raise ValueError(f"cell{where} has zero, negative or non-finite extent")
     volume = np.prod(hi - lo, axis=1) * (t1 - t0)
-    counts = model.gamma * _cell_means(model, lo, hi, t0, t1, s) * volume
+    means = _cell_means(model, lo, hi, t0, t1, (1,) * d, 1, subsample)
+    counts = model.gamma * means.reshape(-1) * volume
     return float(counts[0]) if single else counts
-
-
-def _cell_means(model: HypertimeModel, lo, hi, t0, t1, s: int) -> np.ndarray:
-    """Mean (unscaled) mixture density of each cell [lo, hi) x [t0, t1)
-    over its ``s`` midpoints per axis; points are laid out per cell as in
-    `_event_cell_means`, so a one-cell batch evaluates exactly as there."""
-    n_cells, d = lo.shape
-    mid = np.arange(s) + 0.5
-    # (cells, s) midpoints per spatial axis, then (cells, s**d, d) in
-    # C order over the axes.
-    axes = [lo[:, k, None] + mid * ((hi[:, k] - lo[:, k])[:, None] / s)
-            for k in range(d)]
-    if d:
-        picks = np.indices((s,) * d).reshape(d, -1)
-        coords = np.stack([axes[k][:, picks[k]] for k in range(d)], axis=2)
-    else:
-        coords = np.empty((n_cells, 1, 0))
-    coords_std = (coords - model.spatial_stats.mean) / model.spatial_stats.std
-    t_axis = t0[:, None] + mid * ((t1 - t0)[:, None] / s)
-    m_sp = coords_std.shape[1]
-    out = np.empty(n_cells)
-    chunk = max(1, 500_000 // (s * m_sp))
-    for start in range(0, n_cells, chunk):
-        stop = min(start + chunk, n_cells)
-        ht = project_times(t_axis[start:stop].reshape(-1), model.projection)
-        block = np.empty((stop - start, s, m_sp, model.layout.width))
-        block[..., :d] = coords_std[start:stop, None]
-        block[..., d:] = ht.reshape(stop - start, s, 1, -1)
-        dens = model.mixture.pdf(block.reshape(-1, model.layout.width))
-        dens = np.ascontiguousarray(
-            dens.reshape(stop - start, s, m_sp).transpose(0, 2, 1))
-        out[start:stop] = dens.mean(axis=(1, 2))
-    return out
 
 
 def event_residual_grid(model: HypertimeModel, events: Dataset,

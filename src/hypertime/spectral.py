@@ -136,11 +136,7 @@ def spectrum(series: ResidualSeries, candidates) -> SpectrumResult:
 
     Ties prefer the longer period (see `_ranking`).
     """
-    candidates = [float(c) for c in candidates]
-    if not candidates:
-        raise ValueError("empty candidate set")
-    if any(c <= 0 for c in candidates):
-        raise ValueError("candidate periods must be positive")
+    candidates = _checked(candidates)
     amps = _phase_sums(series, candidates)
     order = _ranking(amps, candidates)
     return SpectrumResult(tuple((candidates[i], float(amps[i])) for i in order))
@@ -164,9 +160,13 @@ def spectral_sum(series: ResidualSeries, candidates) -> float:
     Scales linearly with the residual magnitude, which makes it usable
     as a coarse how-much-structure-is-left score.
     """
+    return float(_phase_sums(series, _checked(candidates)).sum())
+
+
+def _checked(candidates) -> list[float]:
     candidates = [float(c) for c in candidates]
     if not candidates:
         raise ValueError("empty candidate set")
     if any(c <= 0 for c in candidates):
         raise ValueError("candidate periods must be positive")
-    return float(_phase_sums(series, candidates).sum())
+    return candidates

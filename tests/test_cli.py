@@ -12,8 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from hypertime import (GridSpec, density, load_model, predict_cell_count,
-                       predict_mean)
+from hypertime import (Dataset, GridSpec, density, load_model,
+                       predict_cell_count, predict_mean)
 from hypertime.cli import _dump_heatmaps, _fmt, main
 from conftest import daily_series, pedestrian_events
 
@@ -147,6 +147,21 @@ def test_train_km_auto_clusters(workdir, tmp_path):
                "--model", str(path)])
     assert rc == 0
     assert load_model(path).mixture.n >= 1
+
+
+def test_train_collapsed_event_axis_fails_loudly(tmp_path, capsys):
+    ev = pedestrian_events(4, 1200, 3)
+    path = tmp_path / "flat.csv"
+    write_event(path, Dataset(ev.times, np.column_stack(
+        [ev.coords[:, 0], np.full(len(ev), 1.0)]), None))
+    model = tmp_path / "flat.json"
+    rc = main(["train", "--input", str(path), "--clusters", "2",
+               "--max-h", "1", "--model", str(model)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: every training event has "
+                                   "x2 = 1.0")
+    assert not model.exists()
 
 
 def test_train_mode_mismatch(workdir, capsys):
@@ -320,6 +335,20 @@ def test_predict_gridded_rows_equal_one_batch_call(workdir,
     np.testing.assert_array_equal([r[3] for r in rows], batch)
     loop = [predict_cell_count(model, bounds[i], tb[i]) for i in range(50)]
     np.testing.assert_allclose(batch, loop, rtol=1e-13, atol=0.0)
+
+
+def test_predict_over_long_field_fails_cleanly(workdir, trained_model,
+                                              tmp_path, capsys):
+    queries = tmp_path / "long.csv"
+    queries.write_text("t\n1.0\n2" + "0" * 140_000 + "\n")
+    rc = main(["predict", "--model", str(trained_model),
+               "--input", str(queries)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "line 3: field longer than" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_predict_rejects_bad_model_file(workdir, trained_model, tmp_path,
@@ -507,6 +536,25 @@ def test_evaluate_event_mode_writes_heatmaps(workdir, eval_config, tmp_path,
         " ".join(repr(float(v)) for v in (axes[0][i], axes[1][j], axes[2][k],
                                           obs[i, j, k], pred[i, j, k]))
         for i, j, k in np.ndindex(shape)]
+
+
+def test_evaluate_writes_one_heatmap_per_fold_and_edge_pair(
+        workdir, tmp_path, capsys):
+    config = tmp_path / "edges.cfg"
+    config.write_text("hist_range = 1\nfremen_range = 0\n"
+                      "spatial_edges = 1.0,2.0\ntemporal_edges = 21600\n",
+                      encoding="utf-8")
+    out = tmp_path / "edges"
+    rc = main(["evaluate", "--input", str(workdir / "events.csv"),
+               "--test", str(workdir / "efold1.csv"),
+               "--test", str(workdir / "efold2.csv"),
+               "--config", str(config), "--clusters", "2", "--max-h", "0",
+               "--grid-spatial", "1.0", "--grid-temporal", "21600",
+               "--out-dir", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.glob("heatmap_*.dat")) == [
+        f"heatmap_fold{f}_s{se}_t21600.dat" for f in (0, 1) for se in (1, 2)]
 
 
 @pytest.mark.parametrize("n_spatial", [(3, 2), ()])

@@ -116,6 +116,15 @@ def test_load_csv_row_errors_name_lines(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_over_long_field_names_line(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("t,a\n1,2\n3," + "9" * 140_000 + "\n")
+    limit = csv.field_size_limit()
+    with pytest.raises(ValueError, match=f"^line 3: field longer than "
+                                         f"{limit} characters$"):
+        load_csv(p)
+
+
 @pytest.mark.parametrize("text", [
     "t,a,x1\n1,2,0\nnan,2,0\n",
     "t,a,x1\n1,2,0\n3,nan,0\n",
@@ -172,9 +181,15 @@ def test_save_load_round_trip_event(tmp_path):
 def _row_loop(path, schema=None):
     """The row-by-row CSV reader that `load_csv` falls back to, kept here
     as the reference its fast path must match."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
+        try:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                rows.append((line_no, row))
+        except csv.Error:
+            raise ValueError(f"line {len(rows) + 1}: field longer than "
+                             f"{csv.field_size_limit()} characters") from None
+    rows = [(i, r) for i, r in rows if r]
     if not rows:
         raise ValueError("empty file")
     if schema is None:

@@ -10,10 +10,10 @@ from hypertime import (
     BaselineConfig,
     Dataset,
     default_candidates,
-    fremen_predictor,
     EvaluationGrid,
     GridSpec,
     grid_count,
+    make_baseline,
     pairwise_ttests,
     per_cell_baseline,
     rmse,
@@ -273,23 +273,24 @@ def test_per_cell_baseline_hist_kind_runs():
     assert grid.predicted.min() >= 0.0
 
 
-def fremen_cell_loop(train, spec, m, candidates):
-    """Reference: one `fremen_predictor` per spatial cell, as a loop."""
+def baseline_cell_loop(train, spec, cfg, candidates=None):
+    """Reference: one `make_baseline` fit per spatial cell, as a loop."""
     t0, t1 = float(train.times.min()), float(train.times.max())
     n_bins = int(np.ceil((t1 - t0) / spec.temporal_edge - 1e-12))
     train_spec = GridSpec(spec.spatial_lo, spec.spatial_hi, spec.n_spatial,
                           t0, t0 + n_bins * spec.temporal_edge, n_bins)
     counts = grid_count(train, train_spec).observed.reshape(-1, n_bins)
     centers = train_spec.temporal_centers
-    fits = [fremen_predictor(Dataset(centers, values=row), m, candidates)
+    fits = [make_baseline(Dataset(centers, values=row), cfg, candidates)
             for row in counts]
-    return counts, fits, np.array(
+    return counts, np.array(
         [fit.predict(None, spec.temporal_centers) for fit in fits])
 
 
-def test_per_cell_fremen_matches_per_cell_loop():
-    # 14 d of events, first at t = 0: the training bins span whole weeks,
-    # so a one-event cell ties every candidate up to rounding.
+def sparse_two_week_events():
+    """14 d of events, first at t = 0, on an (8, 2) grid with an empty
+    cell and a one-event cell: the training bins span whole weeks, so
+    the one-event cell ties every FreMEn candidate up to rounding."""
     rng = np.random.default_rng(11)
     day = 86400.0
     t = np.sort(np.concatenate([[0.0, 14 * day - 1.0],
@@ -300,17 +301,38 @@ def test_per_cell_fremen_matches_per_cell_loop():
     x[1] = 3.5  # the only event of its cell
     train = Dataset(t, np.column_stack([x, np.full(t.size, 0.5)]), None)
     spec = GridSpec([0.0, 0.0], [4.0, 2.0], (8, 2), 14 * day, 15 * day, 48)
-    for candidates in (None, default_candidates(14 * day, 604800.0, 30)):
+    return train, spec
+
+
+def assert_cells_match_loop(train, spec, cfg, candidates=None):
+    grid = per_cell_baseline(train, spec, cfg, candidates)
+    counts, expect = baseline_cell_loop(train, spec, cfg, candidates)
+    assert not counts[-1].any()  # an all-zero cell
+    assert (counts.sum(axis=1) == 1).any()
+    np.testing.assert_array_equal(grid.predicted.reshape(expect.shape),
+                                  expect)
+
+
+def test_per_cell_fremen_matches_per_cell_loop():
+    train, spec = sparse_two_week_events()
+    for candidates in (None, default_candidates(14 * 86400.0, 604800.0, 30)):
         for m in (0, 1, 2, 3):
-            cfg = BaselineConfig(kind="fremen", m_components=m)
-            grid = per_cell_baseline(train, spec, cfg, candidates)
-            counts, fits, expect = fremen_cell_loop(train, spec, m,
-                                                    candidates)
-            assert not counts[-1].any()  # an all-zero cell
-            assert (counts.sum(axis=1) == 1).any()
             # Same ranking products and coefficient sums as the loop.
-            np.testing.assert_array_equal(
-                grid.predicted.reshape(expect.shape), expect)
+            assert_cells_match_loop(
+                train, spec, BaselineConfig(kind="fremen", m_components=m),
+                candidates)
+
+
+def test_per_cell_hist_matches_per_cell_loop():
+    train, spec = sparse_two_week_events()
+    for n in (1, 2, 4, 8, 24, 48):
+        assert_cells_match_loop(train, spec,
+                                BaselineConfig(kind="hist", n_intervals=n))
+
+
+def test_per_cell_mean_matches_per_cell_loop():
+    train, spec = sparse_two_week_events()
+    assert_cells_match_loop(train, spec, BaselineConfig(kind="mean"))
 
 
 def test_per_cell_fremen_too_many_components_is_skipped_by_sweep():

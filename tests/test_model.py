@@ -5,6 +5,7 @@ dense trapezoid quadrature over the value dimension, which is the
 independent oracle for the Gaussian marginalization identities.
 """
 
+import itertools
 import json
 import warnings
 
@@ -462,6 +463,49 @@ def test_predict_cell_count_batch_matches_loop(spatial_dim, subsample):
         assert loop[i] == predict_counts(model, spec, subsample).item()
 
 
+def tiled_cell_mean(model, lo, hi, t0, t1, s):
+    """Oracle: the mixture density averaged over the s midpoints per axis
+    of the cell [lo, hi) x [t0, t1), every (point, time) pair one row."""
+    frac = (np.arange(s) + 0.5) / s
+    axes = [a + frac * (b - a) for a, b in zip(lo, hi)]
+    axes.append(t0 + frac * (t1 - t0))
+    pts = np.array(list(itertools.product(*axes)))
+    st = model.spatial_stats
+    rows = np.hstack([(pts[:, :-1] - st.mean) / st.std,
+                      project_times(pts[:, -1], model.projection)])
+    return model.mixture.pdf(rows).mean()
+
+
+@pytest.mark.parametrize("spatial_dim", [0, 1, 2])
+@pytest.mark.parametrize("subsample", [1, 3])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n_periods", [0, 1, 2])
+def test_event_grid_evaluator_matches_tiled_points(spatial_dim, subsample, k,
+                                                   n_periods):
+    # Grids and cell batches (product structure, or rows where a box has
+    # one point per axis) against `mixture.pdf` on the tiled point set.
+    rng = np.random.default_rng([spatial_dim, subsample, k, n_periods])
+    model = random_mixture_model(rng, "event", spatial_dim, n_periods, k)
+    d, s, g = spatial_dim, subsample, model.gamma
+    spec = GridSpec(np.full(d, -0.5), np.full(d, 4.0), (3,) * d,
+                    DAY / 3, 1.5 * DAY, 4)
+    got = predict_counts(model, spec, s)
+    edges = spec.spatial_edges
+    for idx in np.ndindex(spec.shape):
+        lo = spec.spatial_lo + np.asarray(idx[:d]) * edges
+        t0 = spec.t_lo + idx[d] * spec.temporal_edge
+        expect = g * spec.cell_volume * tiled_cell_mean(
+            model, lo, lo + edges, t0, t0 + spec.temporal_edge, s)
+        assert got[idx] == pytest.approx(expect, rel=1e-12, abs=0.0)
+    bounds, tb = random_cells(rng, 20, d)
+    got = predict_cell_count(model, bounds, tb, subsample=s)
+    for i in range(20):
+        lo, hi = bounds[i, :, 0], bounds[i, :, 1]
+        volume = np.prod(hi - lo) * (tb[i, 1] - tb[i, 0])
+        expect = g * volume * tiled_cell_mean(model, lo, hi, *tb[i], s)
+        assert got[i] == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
 def test_predict_cell_count_batch_rejects_bad_rows(event_model):
     rng = np.random.default_rng(13)
     bounds, tb = random_cells(rng, 10, 2)
@@ -540,6 +584,21 @@ def test_build_event_zero_width_extent():
     _, series = event_residual_grid(model, flat, grid(0.5, 1))
     rms = float(np.sqrt(np.mean(series.values ** 2)))
     assert model.training_error == pytest.approx(rms, rel=1e-12)
+
+
+def test_build_event_collapsed_axis_fails_loudly():
+    # At the default eig_floor the density across the flat axis is too
+    # narrow for the calibration grid's midpoints: the build refuses
+    # with the axis and its value instead of falling back to gamma = 1.
+    ev = pedestrian_events(4, 1200, 3)
+    flat = Dataset(ev.times,
+                   np.column_stack([ev.coords[:, 0], np.full(len(ev), 1.0)]),
+                   None)
+    cfg = BuildConfig(fit=FitConfig(n_clusters=2, seed=42), max_h=1,
+                      auto_clusters=False)
+    with pytest.raises(ValueError, match=r"^every training event has "
+                                         r"x2 = 1\.0, "):
+        build_event(flat, cfg)
 
 
 def test_event_gamma_identity(event_model, event_data):
