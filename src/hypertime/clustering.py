@@ -17,11 +17,13 @@ and the log-normaliser, plus, for a valued mixture, the factors of the
 marginal over the non-value dimensions and the regression of the value
 on them.  A :class:`MixtureModel` builds its core on the first
 evaluation (or on `MixtureModel.core`) and keeps it: a component edited
-before that is honoured, one edited after it is not.  Each EM iteration
-builds a core from its current parameters for the E-step.  Densities
-solve against the cached factor with LAPACK's ``dtrtrs`` directly, as
+before that is honoured, one edited after it is not.  Densities solve
+against the cached factor with LAPACK's ``dtrtrs`` directly, as
 ``scipy.linalg.solve_triangular`` would, checking only that the points
-are finite.
+are finite.  Each EM E-step builds a core and its components-first
+(k, N) table, one row per component, and sums across the rows in the
+order numpy sums a row of an (N, k) table (`_row_sum`); cores factor,
+and M-steps floor, all k covariances in one stacked LAPACK call.
 """
 
 from dataclasses import dataclass, field
@@ -88,18 +90,18 @@ class GaussianComponent:
     def logpdf(self, points) -> np.ndarray:
         """Log density at each row of `points` (shape (N, dim))."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        chol, norm = _factor(self.covariance)
-        return _logpdf_at(points - self.mean, chol, norm)
+        return _logpdf_at(points - self.mean, *_factor(self.covariance))
 
 
 def _factor(cov):
     """Lower Cholesky factor of `cov` and the log-normaliser
-    ``dim * log(2 pi) + log det cov`` of a Gaussian with that covariance."""
+    ``dim * log(2 pi) + log det cov`` of a Gaussian with that covariance;
+    for a (k, dim, dim) stack, the k factors and log-normalisers."""
     chol = np.linalg.cholesky(cov)
     if not np.isfinite(chol).all():
         raise np.linalg.LinAlgError("covariance has a non-finite entry")
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    return chol, cov.shape[0] * _LOG_2PI + logdet
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1)
+    return chol, cov.shape[-1] * _LOG_2PI + logdet
 
 
 def _logpdf_at(diff, chol, norm):
@@ -130,27 +132,46 @@ def _whiten(diff, chol):
     return dev
 
 
-def _logsumexp(a, axis):
+def _logsumexp(a, axis, total=None):
     """``scipy.special.logsumexp(a, axis=axis)`` of a real array, bit for bit.
 
     Scipy's formula: with m entries equal to the maximum and s the sum of
     exp(a - max) over the other entries, the result is
     ``log1p(s / m) + log(m) + max``; where that is not finite it is
     ``log(sum(exp(a)))``.  The sums run along `axis` in `a`'s own memory
-    layout, so a caller must pass the layout scipy was given.
+    layout, so a caller must pass the layout scipy was given, or a
+    `total` that sums along `axis` in that order, keeping the axis.
     """
+    total = total or (lambda x: x.sum(axis=axis, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = a.max(axis=axis, keepdims=True)
         at_top = a == top
         m = at_top.sum(axis=axis, keepdims=True, dtype=float)
-        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(
-            axis=axis, keepdims=True)
+        s = total(np.exp(np.where(at_top, -np.inf, a) - top))
         out = np.log1p(s / m) + np.log(m) + top
         bad = ~np.isfinite(out)
         if bad.any():
-            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
-            out = np.where(bad, direct, out)
+            out = np.where(bad, np.log(total(np.exp(a))), out)
     return out.squeeze(axis)
+
+
+def _row_sum(a):
+    """``np.ascontiguousarray(a.T).sum(axis=1)`` of a (k, N) array, shape
+    (1, N), without the transpose: numpy sums a row in sequence below 8
+    entries, else in 8 accumulators (entry i into i mod 8) combined
+    pairwise and then the rest, and halves rows over 128 entries first."""
+    k, n = a.shape
+    if k < 8:
+        return a.sum(axis=0, keepdims=True)
+    if k > 128:
+        return np.ascontiguousarray(a.T).sum(axis=1)[None]
+    tail = k - k % 8
+    acc = a[:tail].reshape(-1, 8, n).sum(axis=0)
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) \
+        + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in a[tail:]:
+        out += row
+    return out[None]
 
 
 class MixtureCore:
@@ -167,22 +188,26 @@ class MixtureCore:
         self.weights = list(weights)
         self.log_weights = [np.log(w) for w in self.weights]
         self.means = [np.array(m, dtype=float) for m in means]
-        self.factors = []
+        covs = np.asarray(covs, dtype=float)
+        try:
+            self.factors = list(zip(*_factor(covs)))
+        except np.linalg.LinAlgError:
+            for j, cov in enumerate(covs):  # name the first failing one
+                try:
+                    _factor(cov)
+                except np.linalg.LinAlgError:
+                    raise np.linalg.LinAlgError(
+                        f"components[{j}].covariance is not positive "
+                        "definite") from None
+            raise
         # Per component of a valued mixture: (rest mean, rest Cholesky
-        # factor, rest log-normaliser, beta or None without rest dims).
+        # factor, rest log-normaliser, beta; empty without rest dims).
         self.rest = []
-        for j, cov in enumerate(covs):
-            cov = np.asarray(cov, dtype=float)
-            try:
-                self.factors.append(_factor(cov))
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError(
-                    f"components[{j}].covariance is not positive definite"
-                ) from None
-            if valued:
-                s_rr = cov[1:, 1:]
-                beta = np.linalg.solve(s_rr, cov[1:, 0]) if s_rr.size else None
-                self.rest.append((self.means[j][1:], *_factor(s_rr), beta))
+        if valued:
+            s_rr = covs[:, 1:, 1:]
+            betas = np.linalg.solve(s_rr, covs[:, 1:, :1])[..., 0]
+            self.rest = list(zip([m[1:] for m in self.means], *_factor(s_rr),
+                                 betas))
 
     def log_joint(self, points, components_first=False) -> np.ndarray:
         """``log w_j + log N_j(x)`` for every row x of `points` (N, dim)
@@ -205,10 +230,7 @@ class MixtureCore:
                 self.weights, self.means, self.rest):
             diff = rest_pts - mean
             wq = w * np.exp(_logpdf_at(diff, chol, norm))
-            if beta is None:
-                c = np.full(n, full_mean[0])
-            else:
-                c = full_mean[0] + diff @ beta
+            c = full_mean[0] + diff @ beta
             unscaled += wq * c
             mass += wq
         return unscaled, mass
@@ -226,6 +248,8 @@ class FitLog:
     # Per-component (min, max) covariance eigenvalues of the final
     # maximization step, before flooring was applied.
     raw_eigenvalues: list[tuple[float, float]] | None = None
+    # Why EM stopped: "tol", "max_iter" or "reverted"; never saved.
+    stop: str | None = None
 
 
 @dataclass
@@ -333,15 +357,10 @@ class MixtureModel:
 
 def _pairwise_mixed(points, centers, layout: DimensionLayout) -> np.ndarray:
     """Distance matrix (N, K) under the mixed metric."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     linear = [layout.value_index] if layout.has_value else []
     linear += list(layout.spatial_indices)
-    if linear:
-        diff = points[:, None, linear] - centers[None, :, linear]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-    else:
-        dist = np.zeros((points.shape[0], centers.shape[0]))
+    diff = points[:, None, linear] - centers[None, :, linear]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
     for ci, si in layout.temporal_pairs:
         p = points[:, (ci, si)]
         c = centers[:, (ci, si)]
@@ -368,27 +387,20 @@ def mixed_distance(p, q, layout: DimensionLayout) -> float:
 # ---------------------------------------------------------------------------
 # initialization
 
-def _lexicographic_order(points) -> np.ndarray:
-    # Primary key is column 0, then column 1, ...
-    return np.lexsort(points.T[::-1])
-
-
 def _seed_centers(points, layout, n, rng) -> np.ndarray:
     """Farthest-point seeding under the mixed metric.
 
     Candidates are scanned in lexicographic order, so the outcome is
     invariant to a permutation of the input rows for a fixed seed.
     """
-    sorted_pts = points[_lexicographic_order(points)]
-    first = int(rng.integers(sorted_pts.shape[0]))
-    centers = [sorted_pts[first]]
-    if n > 1:
-        dist = _pairwise_mixed(sorted_pts, sorted_pts[first][None, :], layout)[:, 0]
-        for _ in range(n - 1):
-            nxt = int(np.argmax(dist))
-            centers.append(sorted_pts[nxt])
-            extra = _pairwise_mixed(sorted_pts, sorted_pts[nxt][None, :], layout)[:, 0]
-            dist = np.minimum(dist, extra)
+    # Primary key is column 0, then column 1, ...
+    sorted_pts = points[np.lexsort(points.T[::-1])]
+    centers = [sorted_pts[int(rng.integers(sorted_pts.shape[0]))]]
+    dist = np.inf
+    for _ in range(n - 1):
+        extra = _pairwise_mixed(sorted_pts, centers[-1][None, :], layout)
+        dist = np.minimum(dist, extra[:, 0])
+        centers.append(sorted_pts[int(np.argmax(dist))])
     return np.asarray(centers)
 
 
@@ -453,14 +465,19 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
 # EM core
 
 
-def _floor_covariance(cov, floor, diagonal=False):
-    """Clamp eigenvalues to `floor`; returns (floored, raw_min, raw_max)."""
+def _floor_covariance(covs, floor, diagonal=False):
+    """Clamp the eigenvalues of each of the (k, d, d) `covs` (with
+    `diagonal`, its diagonal) to `floor`; also returns the raw (min, max)."""
     if diagonal:
-        raw = np.diag(cov).copy()
-        return np.diag(np.maximum(raw, floor)), float(raw.min()), float(raw.max())
-    vals, vecs = np.linalg.eigh(cov)
-    floored = (vecs * np.maximum(vals, floor)) @ vecs.T
-    return 0.5 * (floored + floored.T), float(vals.min()), float(vals.max())
+        raw = np.diagonal(covs, axis1=1, axis2=2)
+        floored = np.maximum(raw, floor)[..., None] * np.eye(covs.shape[-1])
+    else:
+        raw, vecs = np.linalg.eigh(covs)
+        floored = (vecs * np.maximum(raw, floor)[:, None]) \
+            @ vecs.swapaxes(1, 2)
+        floored = 0.5 * (floored + floored.swapaxes(1, 2))
+    return floored, list(zip(raw.min(axis=1).tolist(),
+                             raw.max(axis=1).tolist()))
 
 
 def _hard_moments(points, assign, n, floor, centers, diagonal=False):
@@ -472,39 +489,31 @@ def _hard_moments(points, assign, n, floor, centers, diagonal=False):
     weights /= weights.sum()
     means = np.empty((n, dim))
     covs = np.empty((n, dim, dim))
-    raw = []
     for j in range(n):
         members = points[assign == j]
         if members.shape[0] == 0:
             means[j] = centers[j]
-            cov = global_cov
+            covs[j] = global_cov
         else:
             means[j] = members.mean(axis=0)
             diff = members - means[j]
-            cov = diff.T @ diff / members.shape[0]
-        if diagonal:
-            cov = np.diag(np.diag(cov))
-        covs[j], lo, hi = _floor_covariance(cov, floor, diagonal)
-        raw.append((lo, hi))
-    return weights, means, covs, raw
+            covs[j] = diff.T @ diff / members.shape[0]
+    return weights, means, *_floor_covariance(covs, floor, diagonal)
 
 
 def _m_step(points, resp, floor, diagonal):
-    nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
+    """M-step on (k, N) `resp`, summing nk and means in (N, k) order."""
+    resp_nk = np.ascontiguousarray(resp.T)
+    nk = resp_nk.sum(axis=0) + 10.0 * np.finfo(float).eps
     weights = nk / nk.sum()
-    means = (resp.T @ points) / nk[:, None]
+    means = (resp_nk.T @ points) / nk[:, None]
     n, dim = means.shape
     covs = np.empty((n, dim, dim))
-    raw = []
     for j in range(n):
         diff = points - means[j]
-        cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-        cov = 0.5 * (cov + cov.T)
-        if diagonal:
-            cov = np.diag(np.diag(cov))
-        covs[j], lo, hi = _floor_covariance(cov, floor, diagonal)
-        raw.append((lo, hi))
-    return weights, means, covs, raw
+        covs[j] = (resp[j][:, None] * diff).T @ diff / nk[j]
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    return weights, means, *_floor_covariance(covs, floor, diagonal)
 
 
 def _em_loop(points, params, cfg, diagonal):
@@ -513,42 +522,41 @@ def _em_loop(points, params, cfg, diagonal):
     If an update ever lowers the log-likelihood (possible once the
     eigenvalue floor starts rewriting covariances) the loop reverts to
     the previous parameters and stops, so the returned parameters always
-    correspond to the last trace entry.
+    correspond to the last trace entry.  Returns ``(params, trace,
+    stop)`` with `stop` as in `FitLog.stop`.
     """
     n_pts = points.shape[0]
     trace: list[float] = []
     prev_params = params
     for it in range(cfg.max_iter + 1):
-        weights, means, covs, _ = params
-        log_joint = MixtureCore(weights, means, covs).log_joint(points)
-        log_norm = _logsumexp(log_joint, axis=1)
+        log_joint = MixtureCore(*params[:3]).log_joint(
+            points, components_first=True)
+        log_norm = _logsumexp(log_joint, axis=0, total=_row_sum)
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
-            params = prev_params
-            break
+            return prev_params, trace, "reverted"
         converged = bool(trace) and abs(ll - trace[-1]) <= cfg.tol * n_pts
         trace.append(ll)
         if converged or it == cfg.max_iter:
-            break
+            return params, trace, "tol" if converged else "max_iter"
         prev_params = params
-        resp = np.exp(log_joint - log_norm[:, None])
+        resp = np.exp(log_joint - log_norm)
         params = _m_step(points, resp, cfg.eig_floor, diagonal)
-    return params, trace
 
 
-def _package(params, layout, trace, restarts, fallback) -> MixtureModel:
+def _package(params, trace, stop, layout, restarts,
+             fallback) -> MixtureModel:
     weights, means, covs, raw = params
-    comps = [
-        GaussianComponent(float(weights[j]), means[j], covs[j])
-        for j in range(means.shape[0])
-    ]
+    comps = [GaussianComponent(float(w), m, c)
+             for w, m, c in zip(weights, means, covs)]
     log = FitLog(
         iterations=len(trace),
         log_likelihood=trace[-1],
         ll_trace=trace,
         restarts=restarts,
         diagonal_fallback=fallback,
-        raw_eigenvalues=[(float(lo), float(hi)) for lo, hi in raw],
+        raw_eigenvalues=raw,
+        stop=stop,
     )
     return MixtureModel(comps, layout, log)
 
@@ -590,16 +598,10 @@ def detect_instability(model: MixtureModel, floor: float,
     if log is not None and log.raw_eigenvalues is not None:
         stats = log.raw_eigenvalues
     else:
-        stats = []
-        for comp in model.components:
-            vals = np.linalg.eigvalsh(comp.covariance)
-            stats.append((float(vals.min()), float(vals.max())))
-    for lo, hi in stats:
-        if lo < floor:
-            return True
-        if hi / max(lo, _TINY) > ceiling:
-            return True
-    return False
+        vals = np.linalg.eigvalsh([c.covariance for c in model.components])
+        stats = zip(vals.min(axis=1), vals.max(axis=1))
+    return any(lo < floor or hi / max(lo, _TINY) > ceiling
+               for lo, hi in stats)
 
 
 def em_fit_stable(points, layout: DimensionLayout, cfg: FitConfig,
@@ -614,14 +616,13 @@ def em_fit_stable(points, layout: DimensionLayout, cfg: FitConfig,
     points = _check_points(points, layout, cfg)
     for attempt in range(cfg.max_restarts + 1):
         params = _init(points, layout, cfg, attempt, diagonal=False)
-        params, trace = _em_loop(points, params, cfg, diagonal=False)
-        model = _package(params, layout, trace, restarts=attempt, fallback=False)
+        model = _package(*_em_loop(points, params, cfg, diagonal=False),
+                         layout, restarts=attempt, fallback=False)
         if not detect_instability(model, cfg.eig_floor, cfg.cond_ceiling):
             return model
     params = _init(points, layout, cfg, cfg.max_restarts + 1, diagonal=True)
-    params, trace = _em_loop(points, params, cfg, diagonal=True)
-    return _package(params, layout, trace, restarts=cfg.max_restarts,
-                    fallback=True)
+    return _package(*_em_loop(points, params, cfg, diagonal=True), layout,
+                    restarts=cfg.max_restarts, fallback=True)
 
 
 def km_fit(points, layout: DimensionLayout, cfg: FitConfig) -> MixtureModel:

@@ -246,19 +246,14 @@ def _row_table(text, schema):
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write `dataset` with the canonical header; floats use repr precision."""
-    header = ["t"]
-    if dataset.mode == VALUED:
-        header.append("a")
-    header += [f"x{d + 1}" for d in range(dataset.spatial_dim)]
+    valued = dataset.mode == VALUED
+    header = ["t"] + ["a"] * valued + [f"x{d + 1}"
+                                       for d in range(dataset.spatial_dim)]
+    columns = [dataset.times, *[dataset.values] * valued, *dataset.coords.T]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [repr(float(dataset.times[i]))]
-            if dataset.mode == VALUED:
-                row.append(repr(float(dataset.values[i])))
-            row += [repr(float(c)) for c in dataset.coords[i]]
-            writer.writerow(row)
+        writer.writerows(zip(*(map(repr, c.tolist()) for c in columns)))
 
 
 def split_by_time(dataset: Dataset, boundary: float):

@@ -272,14 +272,18 @@ def calibrate_gamma(model: HypertimeModel, train: Dataset,
 
     Valued: gamma matches the training-set mean expected reading to the
     mean observed reading.  Event: gamma matches the predicted count
-    over the training window to the number of events.  Degenerate data
-    (e.g. all-zero readings) falls back to gamma = 1 with a warning.
+    over the training window to the number of events, on the grid of
+    `cfg`, the build's config.  Degenerate data (e.g. all-zero readings)
+    falls back to gamma = 1 with a warning.
     """
     if train.mode != model.mode:
         raise ValueError("model and data modes differ")
     if model.mode == VALUED:
         return _calibrate_valued(model, train)[0]
-    return _calibrate_event(model, len(train), cfg or BuildConfig())[0]
+    if cfg is None:
+        raise ValueError("pass the event model's BuildConfig: it does not "
+                         "record its event_spatial_bin and event_temporal_bin")
+    return _calibrate_event(model, len(train), cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from hypertime import (
     kmeans_init,
     mixed_distance,
 )
-from hypertime.clustering import (MixtureCore, _factor, _logpdf_at,
-                                  _logsumexp)
+from hypertime.clustering import (MixtureCore, _default_init, _em_loop,
+                                  _factor, _logpdf_at, _logsumexp,
+                                  _pairwise_mixed, _row_sum)
 
 VALUE_ONLY = DimensionLayout(True, 0, 0)
 VALUE_1D = DimensionLayout(True, 1, 0)
@@ -112,6 +113,29 @@ def test_logsumexp_matches_scipy_bit_for_bit(k):
     cols = np.ascontiguousarray(rows.T)
     assert same_bits(_logsumexp(rows, axis=1), logsumexp(rows, axis=1))
     assert same_bits(_logsumexp(cols, axis=0), logsumexp(cols, axis=0))
+    # EM's components-first table, summed in the (n, k) rows' order.
+    assert same_bits(_logsumexp(cols, axis=0, total=_row_sum),
+                     logsumexp(rows, axis=1))
+
+
+@pytest.mark.parametrize("k", [*range(1, 18), 130])
+def test_row_sum_adds_in_numpys_row_order(k):
+    # numpy 2 sums a contiguous row in sequence below 8 entries and in 8
+    # pairwise-combined accumulators from 8 on, so a plain axis-0 sum of
+    # the (k, n) table differs from k = 8.  If a numpy release changes
+    # its order, this fails here instead of silently moving EM fits.
+    rng = np.random.default_rng(300 + k)
+    a = rng.normal(0, 1, (k, 3000)) * 10.0 ** rng.integers(-8, 9, (k, 3000))
+    a[:, :20] = -0.0
+    a[1:, 20:40] = -0.0
+    a[0, 40], a[-1, 41], a[k // 2, 42] = np.inf, -np.inf, np.nan
+    a[0, 43], a[-1, 43] = np.inf, -np.inf
+    a[:, 44] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = _row_sum(a)
+        expect = np.ascontiguousarray(a.T).sum(axis=1)
+    assert got.shape == (1, a.shape[1])
+    assert same_bits(got[0], expect)
 
 
 def solved_logpdf(diff, chol, norm):
@@ -190,6 +214,25 @@ def test_mixture_core_is_built_on_first_use_and_kept():
     mix.components[0].mean[0] = -5.0
     assert mix.core is core
     assert same_bits(mix.logpdf(pts), before)
+
+
+def random_spd(rng, dim):
+    root = rng.normal(0, 1, (dim, dim))
+    return root @ root.T + 0.3 * np.eye(dim)
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "nan"])
+@pytest.mark.parametrize("j", range(4))
+def test_stacked_factoring_names_the_failing_component(bad, j):
+    rng = np.random.default_rng(j)
+    covs = np.stack([random_spd(rng, 3) for _ in range(4)])
+    covs[j] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    if bad == "nan":
+        covs[j] = np.eye(3)
+        covs[j, 2, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"^components\[{j}\]\.covariance is not positive"):
+        MixtureCore(np.full(4, 0.25), rng.normal(0, 1, (4, 3)), covs)
 
 
 def test_mixture_core_names_a_non_positive_definite_component():
@@ -424,3 +467,220 @@ def test_points_validated():
                       FitConfig(n_clusters=1))
     with pytest.raises(ValueError):
         em_fit_stable(np.zeros((4, 3)), VALUE_ONLY, FitConfig(n_clusters=1))
+
+
+# ---------------------------------------------------------------------------
+# EM oracle: the fit as it ran on an (n, k) table, one component at a time.
+# The components-first rewrite must give the same bits for every k, both
+# orders of numpy's row sum (below and from 8 entries) included.
+
+
+def ref_log_joint(weights, means, covs, points):
+    """``log w_j + log N_j(x)`` as an (n, k) table, column by column."""
+    out = np.empty((points.shape[0], len(means)))
+    for j in range(len(means)):
+        chol = np.linalg.cholesky(covs[j])
+        norm = (covs[j].shape[0] * float(np.log(2.0 * np.pi))
+                + 2.0 * float(np.log(np.diag(chol)).sum()))
+        out[:, j] = np.log(weights[j]) + solved_logpdf(points - means[j],
+                                                       chol, norm)
+    return out
+
+
+def ref_floor(cov, floor, diagonal):
+    if diagonal:
+        raw = np.diag(cov).copy()
+        return np.diag(np.maximum(raw, floor)), float(raw.min()), float(raw.max())
+    vals, vecs = np.linalg.eigh(cov)
+    floored = (vecs * np.maximum(vals, floor)) @ vecs.T
+    return 0.5 * (floored + floored.T), float(vals.min()), float(vals.max())
+
+
+def ref_seed_centers(points, layout, n, rng):
+    sorted_pts = points[np.lexsort(points.T[::-1])]
+    first = int(rng.integers(sorted_pts.shape[0]))
+    centers = [sorted_pts[first]]
+    if n > 1:
+        dist = _pairwise_mixed(sorted_pts, sorted_pts[first][None, :],
+                               layout)[:, 0]
+        for _ in range(n - 1):
+            nxt = int(np.argmax(dist))
+            centers.append(sorted_pts[nxt])
+            extra = _pairwise_mixed(sorted_pts, sorted_pts[nxt][None, :],
+                                    layout)[:, 0]
+            dist = np.minimum(dist, extra)
+    return np.asarray(centers)
+
+
+def ref_init(points, layout, cfg, attempt, diagonal):
+    """Farthest-point seeding and hard-assignment moments."""
+    n = cfg.n_clusters
+    centers = ref_seed_centers(points, layout, n,
+                               np.random.default_rng([cfg.seed, attempt]))
+    assign = _pairwise_mixed(points, centers, layout).argmin(axis=1)
+    n_pts, dim = points.shape
+    global_cov = np.cov(points, rowvar=False).reshape(dim, dim)
+    counts = np.bincount(assign, minlength=n).astype(float)
+    weights = np.maximum(counts, 1e-10)
+    weights /= weights.sum()
+    means = np.empty((n, dim))
+    covs = np.empty((n, dim, dim))
+    raw = []
+    for j in range(n):
+        members = points[assign == j]
+        if members.shape[0] == 0:
+            means[j] = centers[j]
+            cov = global_cov
+        else:
+            means[j] = members.mean(axis=0)
+            diff = members - means[j]
+            cov = diff.T @ diff / members.shape[0]
+        if diagonal:
+            cov = np.diag(np.diag(cov))
+        covs[j], lo, hi = ref_floor(cov, cfg.eig_floor, diagonal)
+        raw.append((lo, hi))
+    return weights, means, covs, raw
+
+
+def ref_m_step(points, resp, floor, diagonal):
+    nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
+    weights = nk / nk.sum()
+    means = (resp.T @ points) / nk[:, None]
+    n, dim = means.shape
+    covs = np.empty((n, dim, dim))
+    raw = []
+    for j in range(n):
+        diff = points - means[j]
+        cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
+        cov = 0.5 * (cov + cov.T)
+        if diagonal:
+            cov = np.diag(np.diag(cov))
+        covs[j], lo, hi = ref_floor(cov, floor, diagonal)
+        raw.append((lo, hi))
+    return weights, means, covs, raw
+
+
+def ref_em_loop(points, params, cfg, diagonal):
+    n_pts = points.shape[0]
+    trace = []
+    prev_params = params
+    for it in range(cfg.max_iter + 1):
+        weights, means, covs, _ = params
+        log_joint = ref_log_joint(weights, means, covs, points)
+        log_norm = logsumexp(log_joint, axis=1)
+        ll = float(log_norm.sum())
+        if trace and ll < trace[-1] - 1e-9:
+            params = prev_params
+            break
+        converged = bool(trace) and abs(ll - trace[-1]) <= cfg.tol * n_pts
+        trace.append(ll)
+        if converged or it == cfg.max_iter:
+            break
+        prev_params = params
+        resp = np.exp(log_joint - log_norm[:, None])
+        params = ref_m_step(points, resp, cfg.eig_floor, diagonal)
+    return params, trace
+
+
+def assert_same_params(got, expect):
+    for g, e in zip(got[:3], expect[:3]):
+        assert same_bits(g, e)
+    assert got[3] == expect[3]
+    assert [type(v) for pair in got[3] for v in pair] == \
+        [float] * (2 * len(got[3]))
+
+
+# d = 1: the value alone; 3: value and one period; 11: value and five.
+EM_LAYOUTS = {1: DimensionLayout(True, 0, 0), 3: DimensionLayout(True, 0, 1),
+              11: DimensionLayout(True, 0, 5)}
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 11])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_em_matches_column_by_column_reference_bit_for_bit(k, d, diagonal):
+    rng = np.random.default_rng(1000 * k + d)
+    centers = rng.normal(0, 3, (k, d))
+    pts = centers[rng.integers(0, k, 300)] + rng.normal(0, 1, (300, d))
+    layout = EM_LAYOUTS[d]
+    cfg = FitConfig(n_clusters=k, seed=k, max_iter=25)
+    params = _default_init(pts, layout, cfg, 0, diagonal)
+    expect = ref_init(pts, layout, cfg, 0, diagonal)
+    assert_same_params(params, expect)
+    got, trace, stop = _em_loop(pts, params, cfg, diagonal)
+    want, want_trace = ref_em_loop(pts, expect, cfg, diagonal)
+    assert_same_params(got, want)
+    assert same_bits(trace, want_trace)
+    converged = abs(trace[-1] - trace[-2]) <= cfg.tol * len(pts)
+    assert stop == ("tol" if converged else "max_iter")
+
+
+def test_em_reverts_like_reference_bit_for_bit():
+    # Started below the eigenvalue floor, the first update must floor the
+    # variance and lose likelihood, so EM returns the start parameters.
+    rng = np.random.default_rng(5)
+    pts = rng.normal(0, 1e-3, (50, 1))
+    start = (np.array([1.0]), np.zeros((1, 1)), np.full((1, 1, 1), 1e-6),
+             [(1e-6, 1e-6)])
+    cfg = FitConfig(n_clusters=1, eig_floor=0.1)
+    got, trace, stop = _em_loop(pts, start, cfg, False)
+    want, want_trace = ref_em_loop(pts, start, cfg, False)
+    assert stop == "reverted"
+    assert got is start and want is start
+    assert same_bits(trace, want_trace) and len(trace) == 1
+
+
+# ---------------------------------------------------------------------------
+# why a fit stopped
+
+
+def overlapping_1d():
+    """Two overlapping blobs: EM takes 85 steps to meet the tolerance."""
+    rng = np.random.default_rng(1)
+    return np.concatenate([rng.normal(-1, 1, 200),
+                           rng.normal(1.5, 1, 200)])[:, None]
+
+
+def test_fit_log_stop_tol():
+    model = em_fit_stable(overlapping_1d(), VALUE_ONLY,
+                          FitConfig(n_clusters=2, seed=42))
+    assert model.fit_log.stop == "tol"
+    assert model.fit_log.iterations == 85
+
+
+def test_fit_log_stop_max_iter():
+    model = em_fit_stable(overlapping_1d(), VALUE_ONLY,
+                          FitConfig(n_clusters=2, seed=42, max_iter=5))
+    assert model.fit_log.stop == "max_iter"
+    assert model.fit_log.iterations == 6
+
+
+def test_fit_log_stop_tol_at_exactly_max_iter():
+    # The fit meets the tolerance on its last allowed step: "tol" wins.
+    free = em_fit_stable(overlapping_1d(), VALUE_ONLY,
+                         FitConfig(n_clusters=2, seed=42))
+    steps = free.fit_log.iterations - 1
+    capped = em_fit_stable(overlapping_1d(), VALUE_ONLY,
+                           FitConfig(n_clusters=2, seed=42, max_iter=steps))
+    assert capped.fit_log.stop == "tol"
+    assert capped.fit_log.ll_trace == free.fit_log.ll_trace
+    short = em_fit_stable(overlapping_1d(), VALUE_ONLY,
+                          FitConfig(n_clusters=2, seed=42,
+                                    max_iter=steps - 1))
+    assert short.fit_log.stop == "max_iter"
+    assert short.fit_log.ll_trace == free.fit_log.ll_trace[:-1]
+
+
+def test_fit_log_stop_reverted():
+    pts = np.random.default_rng(5).normal(0, 1e-3, (50, 1))
+
+    def below_floor(points, layout, cfg, attempt, diagonal):
+        return (np.array([1.0]), np.zeros((1, 1)), np.full((1, 1, 1), 1e-6),
+                [(0.5, 0.5)])
+
+    model = em_fit_stable(pts, VALUE_ONLY,
+                          FitConfig(n_clusters=1, eig_floor=0.1),
+                          _init=below_floor)
+    assert model.fit_log.stop == "reverted"
+    assert model.fit_log.iterations == 1
+    assert model.components[0].covariance[0, 0] == 1e-6

@@ -236,6 +236,20 @@ def test_calibrate_gamma_all_zero_values_falls_back():
     assert model2.gamma_fallback
 
 
+def test_calibrate_gamma_event_needs_the_build_config(event_data):
+    # The model does not record its grid; the default grid would move
+    # gamma here by +0.088%, so recalibration without the config is refused.
+    cfg = BuildConfig(fit=FitConfig(n_clusters=2, seed=42), max_h=0,
+                      auto_clusters=False, event_spatial_bin=1.0,
+                      event_temporal_bin=3600.0)
+    model = build_event(event_data, cfg)
+    with pytest.raises(ValueError,
+                       match="event_spatial_bin and event_temporal_bin"):
+        calibrate_gamma(model, event_data)
+    assert calibrate_gamma(model, event_data, cfg) == model.gamma
+    assert calibrate_gamma(model, event_data, BuildConfig()) != model.gamma
+
+
 def test_build_requires_valued_data(event_data):
     with pytest.raises(ValueError):
         build(event_data, BuildConfig())
@@ -628,6 +642,10 @@ def test_model_round_trip(tmp_path, daily_data):
     np.testing.assert_array_equal(loaded.predict(None, tq),
                                   model.predict(None, tq))
     assert model_to_dict(loaded) == model_to_dict(model)
+    # Why EM stopped is kept in memory only.
+    assert model.mixture.fit_log.stop in ("tol", "max_iter", "reverted")
+    assert loaded.mixture.fit_log.stop is None
+    assert "stop" not in model_to_dict(model)["fit"]
 
 
 def test_event_model_round_trip(tmp_path, event_model):
