@@ -150,13 +150,14 @@ def _fmt_all(a) -> list[str]:
 
 
 def _write_text(path, text, force):
+    """Write `text`, a string or strings in turn, through a renamed file."""
     if os.path.exists(path) and not force:
         raise CliError(f"{path} exists; pass --force to overwrite")
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -395,9 +396,14 @@ def _evaluate_event(args, config, train, folds):
             _resolve_list(args, config, "temporal_edges", float)))
     for fi, fold in enumerate(folds):
         span = float(fold.times.min()), float(fold.times.max())
-        spec = training_grid(model.window, *span, spatial_edge, temporal_edge)
-        observed = grid_count(fold, spec).observed
-        predictions = {hyt_name: predict_counts(model, spec)}
+        grids = {}  # (spec, observed, HyT counts) per edge pair
+        for pair in [(spatial_edge, temporal_edge)] + edge_pairs:
+            if pair not in grids:
+                spec = training_grid(model.window, *span, *pair)
+                grids[pair] = (spec, grid_count(fold, spec).observed,
+                               predict_counts(model, spec))
+        spec, observed, hyt = grids[spatial_edge, temporal_edge]
+        predictions = {hyt_name: hyt}
         for name, bc in methods.items():
             if bc is None:
                 continue
@@ -406,11 +412,7 @@ def _evaluate_event(args, config, train, folds):
         for name in methods:
             per_fold[name].append(
                 rmse(predictions[name].reshape(-1), observed.reshape(-1)))
-        for se, te in edge_pairs:
-            hspec = training_grid(model.window, *span, se, te)
-            hobs = grid_count(fold, hspec).observed
-            hpred = predict_counts(model, hspec)
-            heatmaps.append((fi, se, te, hspec, hobs, hpred))
+        heatmaps += [(fi, se, te, *grids[se, te]) for se, te in edge_pairs]
     parameters = {
         "hist_n": best_hist,
         "fremen_m": best_fremen,
@@ -419,27 +421,31 @@ def _evaluate_event(args, config, train, folds):
     return per_fold, parameters, heatmaps
 
 
+def _heatmap_blocks(spec, obs, pred):
+    """The text of one heatmap file, one spatial cell's lines at a time;
+    cells run in C order like obs/pred."""
+    yield "# " + " ".join([f"x{d + 1}" for d in range(spec.spatial_dim)]
+                          + ["t", "observed", "predicted"]) + "\n"
+    # One string per axis value and per distinct observed count.
+    places = itertools.product(*(_fmt_all(spec.spatial_centers(d))
+                                 for d in range(spec.spatial_dim)))
+    times = _fmt_all(spec.temporal_centers)
+    counts, which = np.unique(np.asarray(obs, dtype=float),
+                              return_inverse=True)
+    labels = np.array(_fmt_all(counts), dtype=object)
+    which = which.reshape(-1, len(times))
+    pred = np.asarray(pred, dtype=float).reshape(-1, len(times))
+    for place, cell_which, cell_pred in zip(places, which, pred):
+        prefix = "".join(x + " " for x in place)
+        yield "".join(f"{prefix}{t} {o} {p}\n" for t, o, p in zip(
+            times, labels[cell_which].tolist(), _fmt_all(cell_pred)))
+
+
 def _dump_heatmaps(heatmaps, out_dir, force):
-    written = []
     for fi, se, te, spec, obs, pred in heatmaps:
-        lines = ["# " + " ".join(
-            [f"x{d + 1}" for d in range(spec.spatial_dim)] + ["t", "observed",
-                                                              "predicted"])]
-        axes = [spec.spatial_centers(d) for d in range(spec.spatial_dim)]
-        axes.append(spec.temporal_centers)
-        # One string per axis value and per distinct observed count;
-        # cells run in C order like obs/pred.
-        cells = itertools.product(*map(_fmt_all, axes))
-        counts, which = np.unique(np.asarray(obs, dtype=float),
-                                  return_inverse=True)
-        observed = np.array(_fmt_all(counts), dtype=object)[which.ravel()]
-        lines += [" ".join((*cell, o, p)) for cell, o, p
-                  in zip(cells, observed.tolist(), _fmt_all(pred))]
         name = f"heatmap_fold{fi}_s{se:g}_t{te:g}.dat"
         path = os.path.join(out_dir, name)
-        _write_text(path, "\n".join(lines) + "\n", force)
-        written.append(path)
-    return written
+        _write_text(path, _heatmap_blocks(spec, obs, pred), force)
 
 
 def cmd_evaluate(args, config) -> int:

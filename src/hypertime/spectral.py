@@ -13,6 +13,14 @@ event residual series repeats each temporal bin once per spatial cell.
 A series without repeated timestamps passes through unchanged.
 Candidate periods default to the integer fractions of one week, which
 covers the daily/weekly structure typical of human-driven environments.
+
+The module holds one phase table, the cos and sin of the last (times,
+candidates) pair: 2*l*K doubles for l distinct times and K candidates.
+It is keyed by a private byte copy of both arrays; a call with equal
+bytes reuses it and any other call replaces it, so no result depends on
+earlier calls or on a caller changing its arrays later.
+`prominent_period` ranks the whole candidate list and skips excluded
+periods, so every step of a build reuses the first step's table.
 """
 
 from dataclasses import dataclass, field
@@ -79,12 +87,6 @@ def default_candidates(duration: float, longest: float = WEEK_SECONDS,
     return periods
 
 
-def _phases(times, periods) -> np.ndarray:
-    """Phase matrix 2*pi*t/T, (l, K); cos/sin sums over it avoid
-    complex temporaries."""
-    return (2.0 * np.pi) * np.outer(times, 1.0 / np.asarray(periods))
-
-
 def _ranking(amps, periods) -> np.ndarray:
     """Candidate order along the last axis: amplitude descending, ties to
     the longer period so coarse structure wins over its own harmonics."""
@@ -92,8 +94,29 @@ def _ranking(amps, periods) -> np.ndarray:
     return np.lexsort((-periods, -amps), axis=-1)
 
 
+# (key, cos, sin) of the last phase table; see the module docstring.
+_held = None
+
+
+def _trig(times, periods) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of the phase table 2*pi*t/T, (l, K) each;
+    cos/sin sums over it avoid complex temporaries."""
+    global _held
+    times, periods = (np.asarray(a, dtype=float) for a in (times, periods))
+    key = (times.tobytes(), periods.tobytes())
+    held = _held  # read once: a concurrent miss can only cost a rebuild
+    if held is not None and held[0] == key:
+        return held[1:]
+    _held = held = None  # drop the old table before building the next
+    phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
+    sin = np.sin(phases)
+    cos = np.cos(phases, out=phases)
+    cos.flags.writeable = sin.flags.writeable = False
+    _held = (key, cos, sin)
+    return cos, sin
+
+
 def _phase_sums(series: ResidualSeries, periods) -> np.ndarray:
-    periods = np.asarray(periods, dtype=float)
     times = series.times
     centered = series.values - series.mean
     distinct, inverse = np.unique(times, return_inverse=True)
@@ -101,9 +124,9 @@ def _phase_sums(series: ResidualSeries, periods) -> np.ndarray:
         times = distinct
         centered = np.bincount(inverse, weights=centered,
                                minlength=distinct.shape[0])
-    phases = _phases(times, periods)
-    re = centered @ np.cos(phases)
-    im = centered @ np.sin(phases)
+    cos, sin = _trig(times, periods)
+    re = centered @ cos
+    im = centered @ sin
     return np.hypot(re, im) / len(series)
 
 
@@ -117,8 +140,7 @@ def ranked_candidates(times, rows, periods) -> np.ndarray:
     order, and a sparse row whose candidates tie up to rounding (one
     event over whole weeks) would then rank them otherwise.
     """
-    phases = _phases(times, periods)
-    cos, sin = np.cos(phases), np.sin(phases)
+    cos, sin = _trig(times, periods)
     re = np.array([row @ cos for row in rows])
     im = np.array([row @ sin for row in rows])
     return _ranking(np.hypot(re, im) / len(times), periods)
@@ -143,15 +165,18 @@ def spectrum(series: ResidualSeries, candidates) -> SpectrumResult:
 
 
 def prominent_period(series: ResidualSeries, candidates, exclude=()) -> float:
-    """Most prominent candidate period not yet excluded.
+    """Most prominent candidate period not yet excluded, ranked among
+    every candidate as `spectrum` ranks them.
 
     Raises ``ValueError`` when every candidate is excluded.
     """
     exclude = set(float(p) for p in exclude)
-    remaining = [c for c in candidates if float(c) not in exclude]
-    if not remaining:
+    candidates = _checked(candidates)
+    if all(c in exclude for c in candidates):
         raise ValueError("all candidate periods are excluded")
-    return spectrum(series, remaining).entries[0][0]
+    amps = _phase_sums(series, candidates)
+    return next(candidates[i] for i in _ranking(amps, candidates)
+                if candidates[i] not in exclude)
 
 
 def spectral_sum(series: ResidualSeries, candidates) -> float:

@@ -555,9 +555,23 @@ def test_evaluate_writes_one_heatmap_per_fold_and_edge_pair(
     capsys.readouterr()
     assert sorted(p.name for p in out.glob("heatmap_*.dat")) == [
         f"heatmap_fold{f}_s{se}_t21600.dat" for f in (0, 1) for se in (1, 2)]
+    # The pair equal to the grid flags is the grid the default run writes.
+    config.write_text("hist_range = 1\nfremen_range = 0\n", encoding="utf-8")
+    plain = tmp_path / "plain"
+    rc = main(["evaluate", "--input", str(workdir / "events.csv"),
+               "--test", str(workdir / "efold1.csv"),
+               "--test", str(workdir / "efold2.csv"),
+               "--config", str(config), "--clusters", "2", "--max-h", "0",
+               "--grid-spatial", "1.0", "--grid-temporal", "21600",
+               "--out-dir", str(plain)])
+    assert rc == 0
+    capsys.readouterr()
+    for f in (0, 1):
+        name = f"heatmap_fold{f}_s1_t21600.dat"
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
-@pytest.mark.parametrize("n_spatial", [(3, 2), ()])
+@pytest.mark.parametrize("n_spatial", [(3, 2), (4,), ()])
 def test_heatmap_writer_matches_per_element_repr(tmp_path, n_spatial):
     d = len(n_spatial)
     spec = GridSpec(np.full(d, -0.3), np.full(d, 1.1), n_spatial,

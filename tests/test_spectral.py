@@ -15,6 +15,7 @@ from hypertime import (
     spectral_sum,
     spectrum,
 )
+from hypertime.spectral import ranked_candidates
 
 
 def brute_amplitude(times, values, period):
@@ -178,3 +179,120 @@ def test_grouped_spectrum_on_tiled_event_residual_layout():
         best = max(range(len(kept)), key=lambda i: (amps[i], kept[i]))
         assert prominent_period(s, cand, exclude) == kept[best]
         exclude.add(kept[best])
+
+
+def direct_amplitudes(times, values, periods):
+    """The phase sums from a fresh cos/sin table, with the products and the
+    grouping of repeated timestamps that `spectrum` makes."""
+    times, values = np.asarray(times, float), np.asarray(values, float)
+    centered = values - values.mean()
+    distinct, inverse = np.unique(times, return_inverse=True)
+    if distinct.size < times.size:
+        times = distinct
+        centered = np.bincount(inverse, weights=centered,
+                               minlength=distinct.size)
+    phases = (2.0 * np.pi) * np.outer(times, 1.0 / np.asarray(periods, float))
+    re, im = centered @ np.cos(phases), centered @ np.sin(phases)
+    return np.hypot(re, im) / len(values)
+
+
+def direct_ranking(times, rows, periods):
+    """`ranked_candidates` from a fresh cos/sin table, row by row."""
+    periods = np.asarray(periods, float)
+    phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
+    cos, sin = np.cos(phases), np.sin(phases)
+    amps = np.array([np.hypot(row @ cos, row @ sin) for row in rows])
+    amps /= len(times)
+    return np.lexsort((-np.broadcast_to(periods, amps.shape), -amps), axis=-1)
+
+
+def assert_direct(times, values, cand):
+    s = ResidualSeries(times, values)
+    amps = direct_amplitudes(times, values, cand)
+    order = np.lexsort((-np.asarray(cand), -amps))
+    assert spectrum(s, cand).entries == tuple(
+        (float(cand[i]), float(amps[i])) for i in order)
+    assert spectral_sum(s, cand) == float(amps.sum())
+
+
+def test_phase_table_reuse_is_bit_exact_on_hits_and_misses():
+    rng = np.random.default_rng(31)
+    t = np.sort(rng.uniform(0, 20 * DAY_SECONDS, 400))
+    t2 = t + 450.0
+    repeated = np.tile(t[:50], 8)
+    cand = default_candidates(20 * DAY_SECONDS, WEEK_SECONDS, 60)
+    other = default_candidates(20 * DAY_SECONDS, WEEK_SECONDS, 40)
+    # Hits and misses: other candidates on the same times, other times
+    # with the same candidates, and repeated timestamps, whose 50 distinct
+    # times key the table.
+    for times, c in ((t, cand), (t, cand), (t, other), (t, cand), (t2, cand),
+                     (repeated, cand), (repeated, cand), (t, cand)):
+        assert_direct(times, rng.normal(0, 1, times.size), c)
+    rows = rng.poisson(0.5, (6, t.size)).astype(float)
+    rows -= rows.mean(axis=1, keepdims=True)
+    for times, c in ((t, cand), (t, cand), (t2, cand), (t, other)):
+        np.testing.assert_array_equal(ranked_candidates(times, rows, c),
+                                      direct_ranking(times, rows, c))
+        assert_direct(times, rows[0], c)
+
+
+def test_call_bits_do_not_depend_on_earlier_calls():
+    rng = np.random.default_rng(8)
+    s = random_series(rng, 300)
+    cand = default_candidates(30 * DAY_SECONDS, WEEK_SECONDS, 80)
+    first = spectrum(s, cand), spectral_sum(s, cand), amplitude(s, 3600.0)
+    spectrum(random_series(rng, 120), cand)
+    spectrum(s, cand[:20])
+    ranked_candidates(s.times, np.ones((2, len(s))), cand)
+    assert (spectrum(s, cand), spectral_sum(s, cand),
+            amplitude(s, 3600.0)) == first
+
+
+def test_caller_mutation_never_yields_a_stale_table():
+    rng = np.random.default_rng(12)
+    t = np.sort(rng.uniform(0, 10 * DAY_SECONDS, 200))
+    v = rng.normal(0, 1, t.size)
+    cand = np.array(default_candidates(10 * DAY_SECONDS, WEEK_SECONDS, 30))
+    rows = rng.normal(0, 1, (3, t.size))
+    s = ResidualSeries(t, v)
+    spectrum(s, cand)
+    assert s.times is t  # the series shares the caller's array
+    t[::2] += 900.0
+    assert_direct(t, v, cand)
+    ranked_candidates(t, rows, cand)
+    cand[3] *= 1.5
+    np.testing.assert_array_equal(ranked_candidates(t, rows, cand),
+                                  direct_ranking(t, rows, cand))
+    t[5] += 60.0
+    np.testing.assert_array_equal(ranked_candidates(t, rows, cand),
+                                  direct_ranking(t, rows, cand))
+
+
+def subset_prominent_period(series, candidates, exclude=()):
+    """`prominent_period` as it ranked before the shared table: the
+    spectrum of the candidates left after exclusion."""
+    exclude = set(float(p) for p in exclude)
+    remaining = [c for c in candidates if float(c) not in exclude]
+    if not remaining:
+        raise ValueError("all candidate periods are excluded")
+    return spectrum(series, remaining).entries[0][0]
+
+
+def test_prominent_period_matches_subset_ranking():
+    rng = np.random.default_rng(2024)
+    for trial in range(24):
+        n = int(rng.integers(20, 400))
+        t = np.sort(rng.uniform(0, 14 * DAY_SECONDS, n))
+        if trial % 3 == 0:
+            t = np.round(t / 3600.0) * 3600.0  # repeated timestamps
+        v = (rng.normal(0, 1, n) + np.cos(2 * np.pi * t / DAY_SECONDS)
+             + 0.5 * np.cos(2 * np.pi * t / (8 * 3600.0)))
+        s = ResidualSeries(t, v)
+        cand = default_candidates(14 * DAY_SECONDS, WEEK_SECONDS, 168)
+        ranked = spectrum(s, cand).periods
+        for h in range(6):
+            strongest = ranked[:h]
+            drawn = list(rng.choice(cand, h, replace=False))
+            for exclude in (strongest, drawn):
+                assert (prominent_period(s, cand, exclude)
+                        == subset_prominent_period(s, cand, exclude))
