@@ -12,9 +12,6 @@ from types import ModuleType as _ModuleType
 
 from .baselines import (
     BaselineConfig,
-    FremenPredictor,
-    HistPredictor,
-    MeanPredictor,
     fremen_predictor,
     hist_predictor,
     make_baseline,
@@ -43,7 +40,6 @@ from .dataset import (
 )
 from .evaluation import (
     ComparisonReport,
-    EvaluationGrid,
     GridSpec,
     PairResult,
     SweepResult,

@@ -2,7 +2,9 @@
 
 Three families, all ignoring spatial coordinates: a global mean, a
 time-of-day histogram with n intervals, and a truncated spectral
-reconstruction using the strongest candidate periods.  They share the
+reconstruction using the strongest candidate periods.  There is one fit,
+`RowsPredictor`, over the rows of counts or readings on shared
+timestamps; a valued series is its one-row case.  They share the
 ``predict(x, t)`` contract with the full spatio-temporal models so the
 evaluation code can treat every method uniformly.
 """
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VALUED
-from .spectral import (DAY_SECONDS, ResidualSeries, default_candidates,
+# `spectrum` is unused here; perfbench/tracing.py still wraps this binding.
+from .spectral import (DAY_SECONDS, _checked, default_candidates,
                        ranked_candidates, spectrum)
 
 
@@ -33,60 +36,11 @@ class BaselineConfig:
             raise ValueError("m_components must be >= 0")
 
 
-class MeanPredictor:
-    """Predicts the global training average everywhere."""
-
-    def __init__(self, mean: float):
-        self.mean = float(mean)
-
-    def predict(self, x, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(tt.shape, self.mean)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-
-class HistPredictor:
-    """Time-of-day histogram with n equal intervals.
-
-    The interval of a query is ``floor(n * (t mod 86400) / 86400)``;
-    intervals that saw no training data fall back to the global mean.
-    """
-
-    def __init__(self, n: int, interval_means: np.ndarray, global_mean: float):
-        self.n = int(n)
-        self.interval_means = np.asarray(interval_means, dtype=float)
-        self.global_mean = float(global_mean)
-
-    def predict(self, x, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self.interval_means[_interval(tt, self.n)]
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def _interval(times, n: int) -> np.ndarray:
-    """Time-of-day interval of each time, out of n equal ones."""
+    """Time-of-day interval of each time, out of n equal ones:
+    ``floor(n * (t mod 86400) / 86400)``."""
     idx = np.floor(n * np.mod(times, DAY_SECONDS) / DAY_SECONDS)
     return np.clip(idx.astype(int), 0, n - 1)
-
-
-class FremenPredictor:
-    """Mean plus the m strongest periodic components of the training series.
-
-    Stores one complex coefficient per kept period,
-    ``c_k = (1/l) * sum_i (a_i - mean) * exp(-j*2*pi*t_i/T_k)``, and
-    predicts ``mean + sum_k 2*Re(c_k * exp(+j*2*pi*t/T_k))``.
-    """
-
-    def __init__(self, mean: float, periods: np.ndarray, coefficients: np.ndarray):
-        self.mean = float(mean)
-        self.periods = np.asarray(periods, dtype=float)
-        self.coefficients = np.asarray(coefficients, dtype=complex)
-
-    def predict(self, x, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _fremen_values(np.array([self.mean]), self.periods[None],
-                             self.coefficients[None], tt)[0]
-        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _fremen_values(means, periods, coefs, query) -> np.ndarray:
@@ -105,26 +59,6 @@ def _fremen_values(means, periods, coefs, query) -> np.ndarray:
     return out
 
 
-def _require_valued(train: Dataset):
-    if train.mode != VALUED:
-        raise ValueError("baselines require a valued dataset")
-    if len(train) == 0:
-        raise ValueError("empty training set")
-
-
-def mean_predictor(train: Dataset) -> MeanPredictor:
-    _require_valued(train)
-    return MeanPredictor(train.values.mean())
-
-
-def hist_predictor(train: Dataset, n: int) -> HistPredictor:
-    _require_valued(train)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    means = _interval_means(train.times, train.values[None], n)[0]
-    return HistPredictor(n, means, train.values.mean())
-
-
 def _interval_means(times, rows, n: int) -> np.ndarray:
     """Time-of-day interval means (r, n) of each row of `rows` (r, l) on
     the shared `times`; an interval without data takes the row's mean.
@@ -137,11 +71,9 @@ def _interval_means(times, rows, n: int) -> np.ndarray:
 
 
 def _fremen_candidates(duration: float, m: int, candidates) -> list[float]:
-    if m < 0:
-        raise ValueError("m must be >= 0")
     if candidates is None:
         candidates = default_candidates(duration)
-    candidates = [float(c) for c in candidates]
+    candidates = _checked(candidates)
     if m > len(candidates):
         raise ValueError("m exceeds the number of candidate periods")
     return candidates
@@ -165,34 +97,26 @@ def _coefficients(times, centered, kept) -> np.ndarray:
     return coefs
 
 
-def fremen_predictor(train: Dataset, m: int, candidates=None) -> FremenPredictor:
-    _require_valued(train)
-    candidates = _fremen_candidates(train.duration, m, candidates)
-    mean = float(train.values.mean())
-    if m == 0:
-        return FremenPredictor(mean, np.empty(0), np.empty(0, dtype=complex))
-    series = ResidualSeries(train.times, train.values)
-    kept = np.asarray([p for p, _ in spectrum(series, candidates).entries[:m]])
-    centered = train.values - mean
-    coefs = _coefficients(train.times, centered[None, :], kept[None, :])
-    return FremenPredictor(mean, kept, coefs[0])
-
-
 class RowsPredictor:
     """One baseline fitted to each row of `rows` (n, l), every row a
     series on the shared `times`; `predict` returns (n, q).
 
-    Row r predicts as ``make_baseline(Dataset(times, values=rows[r]), cfg,
-    candidates)`` does, bit for bit when the rows hold counts, whose sums
-    are exact in any order.  FreMEn rows are ranked over one phase table
-    (`ranked_candidates`), and each distinct kept period's cos/sin serve
-    every row.
+    Mean predicts each row's average.  Hist predicts the row's mean over
+    the query's time-of-day interval; intervals that saw no training data
+    fall back to the row's mean.  FreMEn keeps each row's m strongest
+    candidate periods (n, m) in `periods`, ranked over one phase table
+    (`ranked_candidates`), with one complex coefficient per kept period,
+    ``c_k = (1/l) * sum_i (a_i - mean) * exp(-j*2*pi*t_i/T_k)``, and
+    predicts ``mean + sum_k 2*Re(c_k * exp(+j*2*pi*t/T_k))``; Mean is
+    FreMEn without periods.
     """
 
     def __init__(self, times, rows, cfg: BaselineConfig, candidates=None):
         times, rows = (np.asarray(a, dtype=float) for a in (times, rows))
         self.cfg = cfg
         self.means = rows.mean(axis=1)
+        self.periods = np.empty((len(rows), 0))
+        self.coefficients = np.empty((len(rows), 0), dtype=complex)
         if cfg.kind == "hist":
             self.interval_means = _interval_means(times, rows,
                                                   cfg.n_intervals)
@@ -200,28 +124,55 @@ class RowsPredictor:
             m = cfg.m_components
             candidates = _fremen_candidates(float(times.max() - times.min()),
                                             m, candidates)
-            centered = rows - self.means[:, None]
-            kept = (ranked_candidates(times, centered, candidates)[:, :m]
-                    if m else np.empty((len(rows), 0), int))
-            self.periods = np.asarray(candidates)[kept]
-            self.coefficients = _coefficients(times, centered, self.periods)
+            if m:
+                centered = rows - self.means[:, None]
+                kept = ranked_candidates(times, centered, candidates)[:, :m]
+                self.periods = np.asarray(candidates)[kept]
+                self.coefficients = _coefficients(times, centered,
+                                                  self.periods)
 
     def predict(self, x, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         if self.cfg.kind == "hist":
             return self.interval_means[:, _interval(tt, self.cfg.n_intervals)]
-        if self.cfg.kind == "mean":
-            return np.repeat(self.means[:, None], tt.shape[0], axis=1)
         return _fremen_values(self.means, self.periods, self.coefficients, tt)
 
 
+class _SeriesPredictor:
+    """A valued Dataset's series as the one-row `RowsPredictor`;
+    `predict` gives a float for a scalar t and ignores x."""
+
+    def __init__(self, train: Dataset, cfg: BaselineConfig, candidates):
+        if train.mode != VALUED:
+            raise ValueError("baselines require a valued dataset")
+        if len(train) == 0:
+            raise ValueError("empty training set")
+        self._rows = RowsPredictor(train.times, train.values[None], cfg,
+                                   candidates)
+        self.periods = self._rows.periods[0]
+
+    def predict(self, x, t):
+        out = self._rows.predict(x, t)[0]
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def mean_predictor(train: Dataset) -> _SeriesPredictor:
+    return make_baseline(train, BaselineConfig("mean"))
+
+
+def hist_predictor(train: Dataset, n: int) -> _SeriesPredictor:
+    return make_baseline(train, BaselineConfig("hist", n_intervals=n))
+
+
+def fremen_predictor(train: Dataset, m: int,
+                     candidates=None) -> _SeriesPredictor:
+    return make_baseline(train, BaselineConfig("fremen", m_components=m),
+                         candidates)
+
+
 def make_baseline(train, cfg: BaselineConfig, candidates=None):
-    """Build the predictor described by `cfg` for a valued Dataset, or a
-    `RowsPredictor` for ``train = (times, rows)``."""
+    """Build the predictor described by `cfg`: a `RowsPredictor` for
+    ``train = (times, rows)``, its one-row case for a valued Dataset."""
     if isinstance(train, tuple):
         return RowsPredictor(*train, cfg, candidates)
-    if cfg.kind == "mean":
-        return mean_predictor(train)
-    if cfg.kind == "hist":
-        return hist_predictor(train, cfg.n_intervals)
-    return fremen_predictor(train, cfg.m_components, candidates)
+    return _SeriesPredictor(train, cfg, candidates)

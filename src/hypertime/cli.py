@@ -359,7 +359,7 @@ def _evaluate_event(args, config, train, folds):
     val_spec = training_grid(model.window, float(tail.times.min()),
                              float(tail.times.max()), spatial_edge,
                              temporal_edge)
-    val_counts = grid_count(tail, val_spec).observed
+    val_counts = grid_count(tail, val_spec)
 
     def baseline_factory(kind):
         def make(tr, p):
@@ -368,8 +368,8 @@ def _evaluate_event(args, config, train, folds):
             return per_cell_baseline(tr, val_spec, bc, candidates)
         return make
 
-    def grid_scorer(grid, _validation):
-        return rmse(grid.predicted.reshape(-1), val_counts.reshape(-1))
+    def grid_scorer(predicted, _validation):
+        return rmse(predicted.reshape(-1), val_counts.reshape(-1))
 
     hist_range = _resolve_list(args, config, "hist_range")
     fremen_range = _resolve_list(args, config, "fremen_range")
@@ -400,15 +400,15 @@ def _evaluate_event(args, config, train, folds):
         for pair in [(spatial_edge, temporal_edge)] + edge_pairs:
             if pair not in grids:
                 spec = training_grid(model.window, *span, *pair)
-                grids[pair] = (spec, grid_count(fold, spec).observed,
+                grids[pair] = (spec, grid_count(fold, spec),
                                predict_counts(model, spec))
         spec, observed, hyt = grids[spatial_edge, temporal_edge]
         predictions = {hyt_name: hyt}
         for name, bc in methods.items():
             if bc is None:
                 continue
-            grid = per_cell_baseline(train, spec, bc, candidates)
-            predictions[name] = grid.predicted
+            predictions[name] = per_cell_baseline(train, spec, bc,
+                                                  candidates)
         for name in methods:
             per_fold[name].append(
                 rmse(predictions[name].reshape(-1), observed.reshape(-1)))

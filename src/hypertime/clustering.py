@@ -35,6 +35,10 @@ from .projection import DimensionLayout
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _TINY = np.finfo(float).tiny
+# An unstable EM fit is retried from this many fresh initializations; a
+# covariance whose eigenvalue ratio exceeds the ceiling counts as unstable.
+MAX_RESTARTS = 5
+COND_CEILING = 1e10
 
 
 @dataclass
@@ -44,9 +48,7 @@ class FitConfig:
     n_clusters: int = 2
     max_iter: int = 100
     tol: float = 1e-6
-    max_restarts: int = 5
     eig_floor: float = 1e-6
-    cond_ceiling: float = 1e10
     seed: int = 42
     backend: str = "em"
 
@@ -59,10 +61,6 @@ class FitConfig:
             raise ValueError("tol must be positive")
         if self.eig_floor <= 0:
             raise ValueError("eig_floor must be positive")
-        if self.cond_ceiling <= 1:
-            raise ValueError("cond_ceiling must exceed 1")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
         if self.backend not in ("em", "km"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -609,20 +607,20 @@ def em_fit_stable(points, layout: DimensionLayout, cfg: FitConfig,
     """EM with covariance-collapse handling.
 
     Unstable fits are retried with fresh seeded initializations up to
-    ``cfg.max_restarts`` times; if none stabilizes, the final fit is
+    `MAX_RESTARTS` times; if none stabilizes, the final fit is
     redone with covariances constrained to diagonal matrices and the
     ``diagonal_fallback`` flag is set.
     """
     points = _check_points(points, layout, cfg)
-    for attempt in range(cfg.max_restarts + 1):
+    for attempt in range(MAX_RESTARTS + 1):
         params = _init(points, layout, cfg, attempt, diagonal=False)
         model = _package(*_em_loop(points, params, cfg, diagonal=False),
                          layout, restarts=attempt, fallback=False)
-        if not detect_instability(model, cfg.eig_floor, cfg.cond_ceiling):
+        if not detect_instability(model, cfg.eig_floor, COND_CEILING):
             return model
-    params = _init(points, layout, cfg, cfg.max_restarts + 1, diagonal=True)
+    params = _init(points, layout, cfg, MAX_RESTARTS + 1, diagonal=True)
     return _package(*_em_loop(points, params, cfg, diagonal=True), layout,
-                    restarts=cfg.max_restarts, fallback=True)
+                    restarts=MAX_RESTARTS, fallback=True)
 
 
 def km_fit(points, layout: DimensionLayout, cfg: FitConfig) -> MixtureModel:

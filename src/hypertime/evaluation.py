@@ -1,10 +1,12 @@
 """Error metrics, grid bookkeeping, and model comparison utilities.
 
 Valued models are scored by RMSE against held-out readings.  Event
-models are scored on spatio-temporal count grids: observed counts come
-from half-open binning of test events, predictions from whichever model
-is under test, and grids compare by RMSE over their cells.  Method
-rankings across folds are settled by paired two-sided t-tests.
+models are scored on spatio-temporal count grids, plain arrays of their
+`GridSpec`'s shape: observed counts come from half-open binning of test
+events (`grid_count`), predictions from whichever model is under test
+(`per_cell_baseline` for the baselines), and grids compare by RMSE over
+their cells.  Method rankings across folds are settled by paired
+two-sided t-tests.
 """
 
 import warnings
@@ -123,29 +125,11 @@ class GridSpec:
         return self.t_lo + (np.arange(self.n_temporal) + 0.5) * self.temporal_edge
 
 
-@dataclass
-class EvaluationGrid:
-    """Observed counts (and optionally predictions) on a GridSpec."""
-
-    spec: GridSpec
-    observed: np.ndarray
-    predicted: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.observed = np.asarray(self.observed, dtype=float)
-        if self.observed.shape != self.spec.shape:
-            raise ValueError("observed array shape does not match spec")
-        if self.predicted is not None:
-            self.predicted = np.asarray(self.predicted, dtype=float)
-            if self.predicted.shape != self.spec.shape:
-                raise ValueError("predicted array shape does not match spec")
-
-
-def grid_count(events: Dataset, spec: GridSpec) -> EvaluationGrid:
+def grid_count(events: Dataset, spec: GridSpec) -> np.ndarray:
     """Bin events into the grid; out-of-box events are dropped.
 
-    The total of the returned array equals the number of events inside
-    the half-open box.
+    Returns the counts, shaped as `spec.shape`; their total equals the
+    number of events inside the half-open box.
     """
     if events.spatial_dim != spec.spatial_dim:
         raise ValueError("event dimensionality does not match grid")
@@ -162,7 +146,7 @@ def grid_count(events: Dataset, spec: GridSpec) -> EvaluationGrid:
     idxs.append(kt)
     flat = np.ravel_multi_index(tuple(k[inside] for k in idxs), spec.shape)
     counts = np.bincount(flat, minlength=spec.n_cells).astype(float)
-    return EvaluationGrid(spec, counts.reshape(spec.shape))
+    return counts.reshape(spec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +286,9 @@ def sweep(train: Dataset, validation: Dataset, factory, params,
 
 
 def per_cell_baseline(train_events: Dataset, spec: GridSpec,
-                      cfg: BaselineConfig, candidates=None) -> EvaluationGrid:
-    """Fill grid predictions from an independent baseline per spatial cell.
+                      cfg: BaselineConfig, candidates=None) -> np.ndarray:
+    """Grid predictions, shaped as `spec.shape`, from an independent
+    baseline per spatial cell.
 
     For every spatial cell, the training events are binned over the
     training period (same spatial layout and temporal edge as `spec`),
@@ -321,8 +306,7 @@ def per_cell_baseline(train_events: Dataset, spec: GridSpec,
         spec.spatial_lo, spec.spatial_hi, spec.n_spatial,
         t0, t0 + n_train_bins * spec.temporal_edge, n_train_bins,
     )
-    counts = grid_count(train_events, train_spec).observed
+    counts = grid_count(train_events, train_spec)
     fits = make_baseline((train_spec.temporal_centers,
                           counts.reshape(-1, n_train_bins)), cfg, candidates)
-    return EvaluationGrid(spec, np.zeros(spec.shape), fits.predict(
-        None, spec.temporal_centers).reshape(spec.shape))
+    return fits.predict(None, spec.temporal_centers).reshape(spec.shape)

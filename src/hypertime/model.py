@@ -390,19 +390,18 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
 
 
 def event_residual_grid(model: HypertimeModel, events: Dataset,
-                        spec: GridSpec, subsample: int = 1):
-    """Counts vs predictions on a grid, plus the flattened residual series.
+                        spec: GridSpec, subsample: int = 1) -> ResidualSeries:
+    """The flattened residual series of predicted vs observed counts.
 
     The series holds ``predicted - observed`` per cell on the temporal
     bin-center timestamps (every spatial cell contributes one entry per
     bin, so timestamps repeat).
     """
-    grid = grid_count(events, spec)
-    grid.predicted = predict_counts(model, spec, subsample)
-    eps = grid.predicted - grid.observed
+    observed = grid_count(events, spec)
+    eps = predict_counts(model, spec, subsample) - observed
     reps = int(np.prod(spec.n_spatial)) if spec.spatial_dim else 1
     times = np.tile(spec.temporal_centers, reps)
-    return grid, ResidualSeries(times, eps.reshape(-1))
+    return ResidualSeries(times, eps.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,7 @@ def _run_build(train: Dataset, cfg: BuildConfig,
         else:
             cand.gamma, cand.gamma_fallback = _calibrate_event(
                 cand, len(train), cfg)
-            _, series = event_residual_grid(cand, train, ref_spec)
+            series = event_residual_grid(cand, train, ref_spec)
         err = float(np.sqrt(np.mean(series.values ** 2)))
         if best is not None and err >= best.training_error:
             log.append(BuildStep(proj.h, err, period_added, kept=False))
@@ -665,6 +664,9 @@ def model_from_dict(payload: dict) -> HypertimeModel:
         raise ValueError(f"model payload missing key {exc}") from None
     if model.mode not in (VALUED, EVENT):
         raise ValueError(f"unknown mode {model.mode!r}")
+    if (model.mode == VALUED) != model.layout.has_value:
+        raise ValueError(f"mode {model.mode!r} disagrees with "
+                         f"layout.has_value={model.layout.has_value}")
     if model.layout.n_periods != len(model.projection.periods):
         raise ValueError("layout and period list disagree")
     return model

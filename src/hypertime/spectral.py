@@ -11,6 +11,8 @@ the values, so the centred values of repeated timestamps are summed
 before the phase sums, which then run over the distinct times only: an
 event residual series repeats each temporal bin once per spatial cell.
 A series without repeated timestamps passes through unchanged.
+One routine, `_amplitudes`, serves one series and the many rows of the
+per-cell FreMEn baselines alike, repeated timestamps included.
 Candidate periods default to the integer fractions of one week, which
 covers the daily/weekly structure typical of human-driven environments.
 
@@ -116,34 +118,37 @@ def _trig(times, periods) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _phase_sums(series: ResidualSeries, periods) -> np.ndarray:
-    times = series.times
-    centered = series.values - series.mean
+def _amplitudes(times, rows, periods) -> np.ndarray:
+    """Amplitudes (n, K) of each centred row of `rows` (n, l) on the same
+    `times`, over one phase table.
+
+    Each row is its own product with the table, the same 1-D @ 2-D call
+    for one series or many; one (n, l) @ (l, K) product would sum in
+    another order, and a sparse row whose candidates tie up to rounding
+    (one event over whole weeks) would then rank them otherwise.
+    """
+    length = times.shape[0]
     distinct, inverse = np.unique(times, return_inverse=True)
-    if distinct.shape[0] < times.shape[0]:
+    if distinct.shape[0] < length:
         times = distinct
-        centered = np.bincount(inverse, weights=centered,
-                               minlength=distinct.shape[0])
+        rows = [np.bincount(inverse, weights=row, minlength=distinct.shape[0])
+                for row in rows]
     cos, sin = _trig(times, periods)
-    re = centered @ cos
-    im = centered @ sin
-    return np.hypot(re, im) / len(series)
+    re = np.array([row @ cos for row in rows])
+    im = np.array([row @ sin for row in rows])
+    return np.hypot(re, im) / length
+
+
+def _phase_sums(series: ResidualSeries, periods) -> np.ndarray:
+    return _amplitudes(series.times, [series.values - series.mean],
+                       periods)[0]
 
 
 def ranked_candidates(times, rows, periods) -> np.ndarray:
     """Candidate order, strongest first, of each of n centred series
-    (rows, (n, l)) on the same timestamps, as indices (n, K).
-
-    One phase table serves every row.  Each row is then the same product
-    with it that `spectrum` makes for one series, so every row ranks as
-    `spectrum` ranks it; one (n, l) @ (l, K) product would sum in another
-    order, and a sparse row whose candidates tie up to rounding (one
-    event over whole weeks) would then rank them otherwise.
-    """
-    cos, sin = _trig(times, periods)
-    re = np.array([row @ cos for row in rows])
-    im = np.array([row @ sin for row in rows])
-    return _ranking(np.hypot(re, im) / len(times), periods)
+    (rows, (n, l)) on the same timestamps, as indices (n, K); every row
+    ranks as `spectrum` ranks it."""
+    return _ranking(_amplitudes(times, rows, periods), periods)
 
 
 def amplitude(series: ResidualSeries, period: float) -> float:

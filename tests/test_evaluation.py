@@ -9,14 +9,16 @@ from scipy import stats
 from hypertime import (
     BaselineConfig,
     Dataset,
+    ResidualSeries,
     default_candidates,
-    EvaluationGrid,
+    fremen_predictor,
     GridSpec,
     grid_count,
     make_baseline,
     pairwise_ttests,
     per_cell_baseline,
     rmse,
+    spectrum,
     sweep,
 )
 
@@ -100,11 +102,11 @@ def test_grid_count_places_events():
     spec = unit_grid()
     ev = Dataset(np.array([5.0, 25.0, 25.0]),
                  np.array([[0.1], [0.6], [0.6]]), None)
-    grid = grid_count(ev, spec)
-    assert grid.observed.shape == spec.shape
-    assert grid.observed[0, 0] == 1.0
-    assert grid.observed[2, 1] == 2.0
-    assert grid.observed.sum() == 3.0
+    counts = grid_count(ev, spec)
+    assert counts.shape == spec.shape
+    assert counts[0, 0] == 1.0
+    assert counts[2, 1] == 2.0
+    assert counts.sum() == 3.0
 
 
 def test_grid_count_half_open_edges():
@@ -112,32 +114,23 @@ def test_grid_count_half_open_edges():
     # shared edge goes to the higher cell; upper boundary falls outside
     ev = Dataset(np.array([20.0, 100.0, 0.0]),
                  np.array([[0.25], [0.5], [1.0]]), None)
-    grid = grid_count(ev, spec)
-    assert grid.observed.sum() == 1.0
-    assert grid.observed[1, 1] == 1.0
+    counts = grid_count(ev, spec)
+    assert counts.sum() == 1.0
+    assert counts[1, 1] == 1.0
 
 
 def test_grid_count_drops_outside_box():
     spec = unit_grid()
     ev = Dataset(np.array([-5.0, 50.0, 50.0]),
                  np.array([[0.5], [-0.1], [1.5]]), None)
-    grid = grid_count(ev, spec)
-    assert grid.observed.sum() == 0.0
+    assert grid_count(ev, spec).sum() == 0.0
 
 
 def test_grid_count_accepts_valued_points_too():
     # only positions matter; values are ignored by counting
     spec = unit_grid()
     ds = Dataset(np.array([1.0]), np.array([[0.5]]), np.array([1.0]))
-    assert grid_count(ds, spec).observed.sum() == 1.0
-
-
-def test_evaluation_grid_shape_checked():
-    spec = unit_grid()
-    with pytest.raises(ValueError):
-        EvaluationGrid(spec, np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        EvaluationGrid(spec, np.zeros(spec.shape), np.zeros((4, 4)))
+    assert grid_count(ds, spec).sum() == 1.0
 
 
 def test_pairwise_ttests_hand_check():
@@ -245,10 +238,10 @@ def test_per_cell_baseline_stationary_rate():
     t_train = np.sort(rng.uniform(0, 1000.0, 400))
     train = Dataset(t_train, np.full((400, 1), 0.5), None)
     spec = GridSpec([0.0], [1.0], (1,), 1000.0, 2000.0, 10)
-    grid = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
-    assert grid.predicted.shape == spec.shape
+    predicted = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
+    assert predicted.shape == spec.shape
     expect = 400 / 1000.0 * spec.temporal_edge
-    np.testing.assert_allclose(grid.predicted, expect, rtol=0.05)
+    np.testing.assert_allclose(predicted, expect, rtol=0.05)
 
 
 def test_per_cell_baseline_splits_cells():
@@ -258,8 +251,8 @@ def test_per_cell_baseline_splits_cells():
     x = np.concatenate([np.full(300, 0.25), np.full(30, 0.75)])
     train = Dataset(t, x[:, None], None)
     spec = GridSpec([0.0], [1.0], (2,), 1000.0, 1500.0, 5)
-    grid = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
-    assert grid.predicted[0].mean() > 5 * grid.predicted[1].mean()
+    predicted = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
+    assert predicted[0].mean() > 5 * predicted[1].mean()
 
 
 def test_per_cell_baseline_hist_kind_runs():
@@ -268,23 +261,57 @@ def test_per_cell_baseline_hist_kind_runs():
     train = Dataset(t, np.full((500, 1), 0.5), None)
     spec = GridSpec([0.0], [1.0], (1,), 4 * 86400.0, 5 * 86400.0, 24)
     cfg = BaselineConfig(kind="hist", n_intervals=24)
-    grid = per_cell_baseline(train, spec, cfg)
-    assert np.all(np.isfinite(grid.predicted))
-    assert grid.predicted.min() >= 0.0
+    predicted = per_cell_baseline(train, spec, cfg)
+    assert np.all(np.isfinite(predicted))
+    assert predicted.min() >= 0.0
+
+
+def slow_baseline(times, row, cfg, candidates, query):
+    """Reference for one series, written out: the kept FreMEn periods and
+    the predictions at `query`.  Mean is `np.mean`; Hist is a loop over
+    the time-of-day intervals; FreMEn keeps the top m of `spectrum` and
+    sums each kept period's coefficient in full."""
+    mean = np.mean(row)
+    out = np.full(query.shape, mean)
+    if cfg.kind == "hist":
+        n = cfg.n_intervals
+
+        def interval(t):
+            k = np.floor(n * np.mod(t, 86400.0) / 86400.0).astype(int)
+            return np.clip(k, 0, n - 1)
+
+        train_k, query_k = interval(times), interval(query)
+        for b in range(n):
+            if (train_k == b).any():
+                out[query_k == b] = np.mean(row[train_k == b])
+        return np.empty(0), out
+    if cfg.kind == "mean" or cfg.m_components == 0:
+        return np.empty(0), out
+    if candidates is None:
+        candidates = default_candidates(float(times.max() - times.min()))
+    kept = spectrum(ResidualSeries(times, row),
+                    candidates).periods[:cfg.m_components]
+    centered = row - mean
+    for period in kept:
+        phase = 2.0 * np.pi * times / period
+        re = float(np.dot(centered, np.cos(phase))) / len(times)
+        im = -float(np.dot(centered, np.sin(phase))) / len(times)
+        query_phase = 2.0 * np.pi * query / period
+        out += 2.0 * (re * np.cos(query_phase) - im * np.sin(query_phase))
+    return np.array(kept), out
 
 
 def baseline_cell_loop(train, spec, cfg, candidates=None):
-    """Reference: one `make_baseline` fit per spatial cell, as a loop."""
+    """Reference: `slow_baseline` per spatial cell, as a loop."""
     t0, t1 = float(train.times.min()), float(train.times.max())
     n_bins = int(np.ceil((t1 - t0) / spec.temporal_edge - 1e-12))
     train_spec = GridSpec(spec.spatial_lo, spec.spatial_hi, spec.n_spatial,
                           t0, t0 + n_bins * spec.temporal_edge, n_bins)
-    counts = grid_count(train, train_spec).observed.reshape(-1, n_bins)
+    counts = grid_count(train, train_spec).reshape(-1, n_bins)
     centers = train_spec.temporal_centers
-    fits = [make_baseline(Dataset(centers, values=row), cfg, candidates)
-            for row in counts]
     return counts, np.array(
-        [fit.predict(None, spec.temporal_centers) for fit in fits])
+        [slow_baseline(centers, row, cfg, candidates,
+                       spec.temporal_centers)[1] for row in counts])
 
 
 def sparse_two_week_events():
@@ -305,19 +332,19 @@ def sparse_two_week_events():
 
 
 def assert_cells_match_loop(train, spec, cfg, candidates=None):
-    grid = per_cell_baseline(train, spec, cfg, candidates)
+    predicted = per_cell_baseline(train, spec, cfg, candidates)
     counts, expect = baseline_cell_loop(train, spec, cfg, candidates)
     assert not counts[-1].any()  # an all-zero cell
     assert (counts.sum(axis=1) == 1).any()
-    np.testing.assert_array_equal(grid.predicted.reshape(expect.shape),
-                                  expect)
+    np.testing.assert_array_equal(predicted.reshape(expect.shape), expect)
 
 
 def test_per_cell_fremen_matches_per_cell_loop():
     train, spec = sparse_two_week_events()
     for candidates in (None, default_candidates(14 * 86400.0, 604800.0, 30)):
         for m in (0, 1, 2, 3):
-            # Same ranking products and coefficient sums as the loop.
+            # Same ranking products and coefficient sums as `spectrum`
+            # and the written-out sums.
             assert_cells_match_loop(
                 train, spec, BaselineConfig(kind="fremen", m_components=m),
                 candidates)
@@ -333,6 +360,44 @@ def test_per_cell_hist_matches_per_cell_loop():
 def test_per_cell_mean_matches_per_cell_loop():
     train, spec = sparse_two_week_events()
     assert_cells_match_loop(train, spec, BaselineConfig(kind="mean"))
+
+
+def test_series_with_repeated_times_matches_reference():
+    # Readings taken three at a time: the ranking sums repeated
+    # timestamps first, as `spectrum` does for one series.
+    rng = np.random.default_rng(21)
+    day = 86400.0
+    t = np.repeat(np.sort(rng.uniform(0, 10 * day, 200)), 3)
+    a = (0.5 + 0.3 * np.cos(2 * np.pi * t / day)
+         + 0.1 * np.sin(2 * np.pi * t / (day / 3)) + rng.normal(0, 0.2, t.size))
+    train = Dataset(t, np.empty((t.size, 0)), a)
+    query = np.linspace(0, 12 * day, 97)
+    for candidates in (None, [day, day / 2, day / 3, 2 * day]):
+        for m in (1, 2, 3):
+            fit = fremen_predictor(train, m, candidates)
+            kept, expect = slow_baseline(
+                t, a, BaselineConfig("fremen", m_components=m), candidates,
+                query)
+            np.testing.assert_array_equal(fit.periods, kept)
+            np.testing.assert_array_equal(fit.predict(None, query), expect)
+    for cfg in (BaselineConfig("mean"), BaselineConfig("hist", n_intervals=5),
+                BaselineConfig("hist", n_intervals=24)):
+        _, expect = slow_baseline(t, a, cfg, None, query)
+        np.testing.assert_array_equal(
+            make_baseline(train, cfg).predict(None, query), expect)
+
+
+@pytest.mark.parametrize("bad", [0.0, -3600.0])
+def test_fremen_rejects_non_positive_candidates_on_both_paths(bad):
+    train, spec = sparse_two_week_events()
+    valued = Dataset(train.times, np.empty((len(train), 0)), train.coords[:, 0])
+    cfg = BaselineConfig(kind="fremen", m_components=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="candidate periods must be positive"):
+            per_cell_baseline(train, spec, cfg, [bad, 86400.0])
+        with pytest.raises(ValueError, match="candidate periods must be positive"):
+            fremen_predictor(valued, 1, [bad, 86400.0])
 
 
 def test_per_cell_fremen_too_many_components_is_skipped_by_sweep():
@@ -352,6 +417,6 @@ def test_per_cell_fremen_too_many_components_is_skipped_by_sweep():
 
     with pytest.warns(UserWarning, match="parameter 3 failed"):
         result = sweep(train, train, make, [1, 3],
-                       scorer=lambda grid, _: float(grid.predicted.sum()))
+                       scorer=lambda predicted, _: float(predicted.sum()))
     assert [p for p, _ in result.failures] == [3]
     assert result.best == 1

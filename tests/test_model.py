@@ -558,13 +558,12 @@ def test_event_residual_grid(event_model, event_data):
     w = event_model.window
     spec = GridSpec.from_cell_size(w.spatial_lo, w.spatial_hi, w.t_lo,
                                    w.t_hi, 1.0, 6 * 3600.0, expand=False)
-    grid, series = event_residual_grid(event_model, event_data, spec)
-    observed = grid_count(event_data, spec).observed
-    np.testing.assert_allclose(grid.observed, observed)
-    assert grid.predicted.shape == spec.shape
+    series = event_residual_grid(event_model, event_data, spec)
+    predicted = predict_counts(event_model, spec)
+    assert predicted.shape == spec.shape
     np.testing.assert_allclose(
         series.values,
-        (grid.predicted - grid.observed).reshape(-1), atol=1e-12)
+        (predicted - grid_count(event_data, spec)).reshape(-1), atol=1e-12)
     assert series.times.shape == (spec.n_cells,)
     assert set(np.unique(series.times)).issubset(set(spec.temporal_centers))
 
@@ -598,7 +597,7 @@ def test_build_event_zero_width_extent():
     assert total == pytest.approx(len(flat), rel=1e-12)
     assert abs(predict_counts(model, grid(0.25, 2)).sum() - len(flat)) > 10
     # the training error is the residual RMS on the widened, unrefined grid
-    _, series = event_residual_grid(model, flat, grid(0.5, 1))
+    series = event_residual_grid(model, flat, grid(0.5, 1))
     rms = float(np.sqrt(np.mean(series.values ** 2)))
     assert model.training_error == pytest.approx(rms, rel=1e-12)
 
@@ -735,6 +734,22 @@ def test_model_from_dict_rejects_bad_field(event_model, field, value, match):
     bad = json.loads(json.dumps(model_to_dict(event_model)))
     _corrupt(bad, field, value)
     with pytest.raises(ValueError, match=match):
+        model_from_dict(bad)
+
+
+def test_model_from_dict_rejects_valued_mode_on_event_layout(event_model):
+    bad = json.loads(json.dumps(model_to_dict(event_model)))
+    bad["mode"] = "valued"
+    with pytest.raises(ValueError, match=r"mode .* layout\.has_value"):
+        model_from_dict(bad)
+
+
+def test_model_from_dict_rejects_event_mode_on_valued_layout(daily_data):
+    model = build(daily_data, BuildConfig(
+        fit=FitConfig(n_clusters=1, seed=42), max_h=0, auto_clusters=False))
+    bad = json.loads(json.dumps(model_to_dict(model)))
+    bad["mode"] = "event"
+    with pytest.raises(ValueError, match=r"mode .* layout\.has_value"):
         model_from_dict(bad)
 
 
