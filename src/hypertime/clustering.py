@@ -11,25 +11,28 @@ Distances mix two geometries: value and spatial coordinates compare by
 Euclidean distance, while each circular (cos, sin) pair compares by
 cosine dissimilarity so that phases a full period apart coincide.
 
-Every Gaussian evaluation goes through one :class:`MixtureCore`: per
-component the log-weight, the lower Cholesky factor of the covariance
-and the log-normaliser, plus, for a valued mixture, the factors of the
-marginal over the non-value dimensions and the regression of the value
-on them.  A :class:`MixtureModel` builds its core on the first
+Every Gaussian evaluation goes through one :class:`MixtureCore`, which
+stacks the k components: log-weights (k,), means (k, d), the inverses of
+the lower Cholesky factors of the covariances (k, d, d) and the
+log-normalisers (k,), plus, for a valued mixture, the same factors of
+the marginal over the non-value dimensions and the regression of the
+value on them.  A :class:`MixtureModel` builds its core on the first
 evaluation (or on `MixtureModel.core`) and keeps it: a component edited
-before that is honoured, one edited after it is not.  Densities solve
-against the cached factor with LAPACK's ``dtrtrs`` directly, as
-``scipy.linalg.solve_triangular`` would, checking only that the points
-are finite.  Each EM E-step builds a core and its components-first
-(k, N) table, one row per component, and sums across the rows in the
-order numpy sums a row of an (N, k) table (`_row_sum`); cores factor,
-and M-steps floor, all k covariances in one stacked LAPACK call.
+before that is honoured, one edited after it is not.  All k components
+whiten their deviations in one batched product with the inverse factors,
+so a density costs one matrix product and scipy's logsumexp (bit for
+bit) over the (k, N) table, after one check that the points are finite.  A
+large batch of points is evaluated in column blocks, so that memory does
+not grow with k.  An EM iteration builds a core from the current
+parameters, takes that (k, N) table as its E-step, and runs the M-step
+on the (k, N) responsibilities, both writing their (k, d, N) deviations
+into one pair of arrays kept for the whole fit; factoring and flooring
+treat all k covariances in one stacked LAPACK call each.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .projection import DimensionLayout
 
@@ -87,151 +90,134 @@ class GaussianComponent:
 
     def logpdf(self, points) -> np.ndarray:
         """Log density at each row of `points` (shape (N, dim))."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _logpdf_at(points - self.mean, *_factor(self.covariance))
+        core = MixtureCore([1.0], [self.mean], [self.covariance])
+        return core.log_joint(_columns(points))[0]
 
 
-def _factor(cov):
-    """Lower Cholesky factor of `cov` and the log-normaliser
-    ``dim * log(2 pi) + log det cov`` of a Gaussian with that covariance;
-    for a (k, dim, dim) stack, the k factors and log-normalisers."""
-    chol = np.linalg.cholesky(cov)
-    if not np.isfinite(chol).all():
-        raise np.linalg.LinAlgError("covariance has a non-finite entry")
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1)
-    return chol, cov.shape[-1] * _LOG_2PI + logdet
-
-
-def _logpdf_at(diff, chol, norm):
-    """Gaussian log density at deviations `diff` (N, dim) from the mean."""
-    dev = _whiten(diff, chol)
-    return -0.5 * (norm + np.einsum("ij,ij->j", dev, dev))
-
-
-def _whiten(diff, chol):
-    """``chol^-1 diff.T`` (dim, N) for deviations `diff` (N, dim).
-
-    Calls LAPACK's ``dtrtrs`` the way
-    ``scipy.linalg.solve_triangular(chol, diff.T, lower=True)`` calls it,
-    so the result is that formula's bit for bit; only the wrapper's
-    per-call checks are left out.
-    """
-    if not np.isfinite(diff).all():
+def _columns(points):
+    """The rows of `points` (N, dim) as columns (dim, N), after checking
+    that every entry is finite."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(points).all():
         raise ValueError("cannot evaluate a Gaussian at a non-finite point")
-    if diff.size == 0:
-        return np.zeros(diff.shape[::-1])
-    if chol.flags.f_contiguous:
-        dev, info = dtrtrs(chol, diff.T, lower=1, trans=0)
-    else:
-        # dtrtrs expects Fortran order: solve the transposed system.
-        dev, info = dtrtrs(chol.T, diff.T, lower=0, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-    return dev
+    return points.T
 
 
-def _logsumexp(a, axis, total=None):
-    """``scipy.special.logsumexp(a, axis=axis)`` of a real array, bit for bit.
+def _cholesky(cov):
+    """Lower Cholesky factor of `cov` (or of each of a stack), None if
+    one is not positive definite."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+    return chol if np.isfinite(chol).all() else None
+
+
+def _inverse_factor(covs):
+    """For a (k, dim, dim) stack of covariances: the inverses of their
+    lower Cholesky factors (k, dim, dim) and the log-normalisers
+    ``dim * log(2 pi) + log det cov`` (k,)."""
+    chol = _cholesky(covs)
+    if chol is None:
+        j = next(j for j, cov in enumerate(covs) if _cholesky(cov) is None)
+        raise np.linalg.LinAlgError(
+            f"components[{j}].covariance is not positive definite")
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1)
+    # The inverse of a lower factor is lower; pivoting in `inv` can leave
+    # rounding noise above the diagonal.
+    return np.tril(np.linalg.inv(chol)), covs.shape[-1] * _LOG_2PI + logdet
+
+
+def _log_density(diff, inv_chol, norms, out=None):
+    """Gaussian log densities (k, N) at the deviations `diff` (k, dim, N)
+    from the k means, given the inverse factors and log-normalisers; the
+    whitened deviations go to `out` if given."""
+    dev = np.matmul(inv_chol, diff, out=out)
+    return -0.5 * (norms[:, None] + np.einsum("kdn,kdn->kn", dev, dev))
+
+
+# Densities at a batch of points are evaluated over column blocks of at
+# most this many (component, dimension, point) entries, so that their
+# memory does not grow with the number of components.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _blocks(cols, k):
+    """Consecutive column blocks of `cols` (dim, N) whose (k, dim, block)
+    arrays hold at most `_BLOCK_ENTRIES` entries; one block if N = 0."""
+    step = max(1, _BLOCK_ENTRIES // (k * max(cols.shape[0], 1)))
+    return [cols[:, i:i + step] for i in range(0, max(cols.shape[1], 1), step)]
+
+
+def _logsumexp(a):
+    """``scipy.special.logsumexp(a, axis=0)`` of a real array, bit for bit.
 
     Scipy's formula: with m entries equal to the maximum and s the sum of
     exp(a - max) over the other entries, the result is
     ``log1p(s / m) + log(m) + max``; where that is not finite it is
-    ``log(sum(exp(a)))``.  The sums run along `axis` in `a`'s own memory
-    layout, so a caller must pass the layout scipy was given, or a
-    `total` that sums along `axis` in that order, keeping the axis.
+    ``log(sum(exp(a)))``.  Both sums add the rows of `a` in order.
     """
-    total = total or (lambda x: x.sum(axis=axis, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max(axis=axis, keepdims=True)
-        at_top = a == top
-        m = at_top.sum(axis=axis, keepdims=True, dtype=float)
-        s = total(np.exp(np.where(at_top, -np.inf, a) - top))
-        out = np.log1p(s / m) + np.log(m) + top
+        top = a.max(axis=0)
+        shifted = a - top
+        # A finite entry equals the maximum exactly when their difference
+        # is 0; a non-finite maximum ends in the fallback either way.
+        at_top = shifted == 0.0
+        exps = np.exp(shifted, out=shifted)
+        np.putmask(exps, at_top, 0.0)
+        m = at_top.sum(axis=0)
+        out = np.log1p(exps.sum(axis=0) / m) + np.log(m) + top
         bad = ~np.isfinite(out)
         if bad.any():
-            out = np.where(bad, np.log(total(np.exp(a))), out)
-    return out.squeeze(axis)
-
-
-def _row_sum(a):
-    """``np.ascontiguousarray(a.T).sum(axis=1)`` of a (k, N) array, shape
-    (1, N), without the transpose: numpy sums a row in sequence below 8
-    entries, else in 8 accumulators (entry i into i mod 8) combined
-    pairwise and then the rest, and halves rows over 128 entries first."""
-    k, n = a.shape
-    if k < 8:
-        return a.sum(axis=0, keepdims=True)
-    if k > 128:
-        return np.ascontiguousarray(a.T).sum(axis=1)[None]
-    tail = k - k % 8
-    acc = a[:tail].reshape(-1, 8, n).sum(axis=0)
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) \
-        + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in a[tail:]:
-        out += row
-    return out[None]
+            out = np.where(bad, np.log(np.exp(a).sum(axis=0)), out)
+    return out
 
 
 class MixtureCore:
-    """Factors of a Gaussian mixture, computed once per parameter set.
+    """Stacked factors of a Gaussian mixture, computed once per parameter
+    set.
 
-    Per component: the log-weight, the mean, the lower Cholesky factor of
-    the covariance and the log-normaliser.  With `valued`, dimension 0
-    is the value and the core also holds, per component, the factors of
-    the marginal over the remaining ("rest") dimensions and the
-    regression coefficients beta of the value on them.
+    Over the k components: `log_weights` (k,), `means` (k, dim),
+    `inv_chol` (k, dim, dim), the inverses of the lower Cholesky factors
+    of the covariances, and `norms` (k,), the log-normalisers.  With
+    `valued`, dimension 0 is the value and the core also holds the same
+    two factors of the marginals over the remaining ("rest") dimensions,
+    and `betas` (k, rest), the regression coefficients of the value on
+    them.
     """
 
     def __init__(self, weights, means, covs, valued=False):
-        self.weights = list(weights)
-        self.log_weights = [np.log(w) for w in self.weights]
-        self.means = [np.array(m, dtype=float) for m in means]
+        self.weights = np.array(weights, dtype=float)
+        self.log_weights = np.log(self.weights)
+        self.means = np.array(means, dtype=float)
         covs = np.asarray(covs, dtype=float)
-        try:
-            self.factors = list(zip(*_factor(covs)))
-        except np.linalg.LinAlgError:
-            for j, cov in enumerate(covs):  # name the first failing one
-                try:
-                    _factor(cov)
-                except np.linalg.LinAlgError:
-                    raise np.linalg.LinAlgError(
-                        f"components[{j}].covariance is not positive "
-                        "definite") from None
-            raise
-        # Per component of a valued mixture: (rest mean, rest Cholesky
-        # factor, rest log-normaliser, beta; empty without rest dims).
-        self.rest = []
+        self.inv_chol, self.norms = _inverse_factor(covs)
         if valued:
             s_rr = covs[:, 1:, 1:]
-            betas = np.linalg.solve(s_rr, covs[:, 1:, :1])[..., 0]
-            self.rest = list(zip([m[1:] for m in self.means], *_factor(s_rr),
-                                 betas))
+            self.betas = np.linalg.solve(s_rr, covs[:, 1:, :1])[..., 0]
+            self.rest_inv_chol, self.rest_norms = _inverse_factor(s_rr)
 
-    def log_joint(self, points, components_first=False) -> np.ndarray:
-        """``log w_j + log N_j(x)`` for every row x of `points` (N, dim)
-        and component j: shape (N, k), or (k, N) with `components_first`."""
-        k, n = len(self.means), points.shape[0]
-        out = np.empty((k, n)) if components_first else np.empty((n, k))
-        cols = out if components_first else out.T
-        for j in range(k):
-            cols[j] = self.log_weights[j] + _logpdf_at(
-                points - self.means[j], *self.factors[j])
-        return out
+    def log_joint(self, cols, work=(None, None)) -> np.ndarray:
+        """``log w_j + log N_j(x)`` (k, N) for every column x of `cols`
+        (dim, N) and component j.  `work`, a pair of (k, dim, N) arrays,
+        takes the deviations in place of two new arrays."""
+        diff = np.subtract(cols[None], self.means[:, :, None], out=work[0])
+        return self.log_weights[:, None] + _log_density(
+            diff, self.inv_chol, self.norms, out=work[1])
 
     def value_terms(self, rest_pts):
         """Per row of `rest_pts`: ``(sum_j w_j q_j c_j, sum_j w_j q_j)``,
         where q_j is component j's marginal density over the rest
         dimensions and c_j the conditional mean of the value given them."""
-        n = rest_pts.shape[0]
-        unscaled, mass = np.zeros(n), np.zeros(n)
-        for w, full_mean, (mean, chol, norm, beta) in zip(
-                self.weights, self.means, self.rest):
-            diff = rest_pts - mean
-            wq = w * np.exp(_logpdf_at(diff, chol, norm))
-            c = full_mean[0] + diff @ beta
-            unscaled += wq * c
-            mass += wq
-        return unscaled, mass
+        unscaled, mass = [], []
+        for cols in _blocks(_columns(rest_pts), len(self.weights)):
+            diff = cols[None] - self.means[:, 1:, None]
+            wq = self.weights[:, None] * np.exp(
+                _log_density(diff, self.rest_inv_chol, self.rest_norms))
+            c = self.means[:, :1] + (self.betas[:, None] @ diff)[:, 0]
+            unscaled.append((wq * c).sum(axis=0))
+            mass.append(wq.sum(axis=0))
+        return np.concatenate(unscaled), np.concatenate(mass)
 
 
 @dataclass
@@ -283,9 +269,9 @@ class MixtureModel:
         return self._core
 
     def logpdf(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _logsumexp(self.core.log_joint(points, components_first=True),
-                          axis=0)
+        core = self.core
+        return np.concatenate([_logsumexp(core.log_joint(cols)) for cols
+                               in _blocks(_columns(points), self.n)])
 
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.logpdf(points))
@@ -295,14 +281,15 @@ class MixtureModel:
         points of `spatial` (B, P, s), the first s coordinates, with the
         times `temporal[:, times]` of the same box, the rest.
 
-        Each cached factor splits as ``L = [[L_ss, 0], [L_ts, L_tt]]``, so
-        the whitened deviation of a pair (x, h) is ``(z, u - V)`` with
-        ``z = L_ss^-1 (x - mu_s)`` and ``V = L_tt^-1 L_ts z`` solved once
-        per point, ``u = L_tt^-1 (h - mu_t)`` once per time, and the
-        quadratic form ``|z|^2 + |V|^2 + |u|^2 - 2 V.u`` of all pairs
-        takes one matrix product.  A box of one point or one time shares
+        Each inverse factor splits as ``M = [[M_ss, 0], [M_ts, M_tt]]``,
+        with ``M_ss = L_ss^-1``, ``M_tt = L_tt^-1`` and ``M_ts = -L_tt^-1
+        L_ts L_ss^-1``.  So the whitened deviation of a pair (x, h) is
+        ``(z, W + u)``, with ``(z, W) = M[:, :s] (x - mu_s)`` once per
+        point and ``u = M_tt (h - mu_t)`` once per time, and the quadratic
+        form ``|z|^2 + |W|^2 + |u|^2 + 2 W.u`` of all pairs takes one
+        batched matrix product.  A box of one point or one time shares
         nothing, so its pairs go through `pdf` as rows.  The expansion
-        rounds to about eps * (|V|^2 + |u|^2) in the log density, so a
+        rounds to about eps * (|W|^2 + |u|^2) in the log density, so a
         component tight in time loses digits: 1e-14 relative on fitted
         event models, 8e-14 with every temporal variance shrunk 100-fold.
         """
@@ -319,33 +306,28 @@ class MixtureModel:
                 flat = pts.reshape(b * p * t, w)
                 return self.pdf(flat).reshape(pts.shape[:3])
             return pdf
-        terms = []
-        core = self.core
-        for lw, mean, (chol, norm) in zip(core.log_weights, core.means,
-                                          core.factors):
-            z = _whiten((spatial - mean[:s]).reshape(n_box * n_pts, s),
-                        chol[:s, :s])
-            sol = _whiten(np.vstack([
-                (temporal - mean[s:]).reshape(n_box * n_t, -1),
-                z.T @ chol[s:, :s].T]), chol[s:, s:])
-            u = sol[:, :n_box * n_t].reshape(-1, n_box, n_t)
-            v = sol[:, n_box * n_t:].reshape(-1, n_box, n_pts)
-            # Per point lw - (norm + |z|^2 + |V|^2) / 2 and per time
-            # -|u|^2 / 2; each pair adds V.u.
-            per_pt = lw - 0.5 * (norm + (z * z).sum(axis=0)
-                                 + (v * v).sum(axis=0).reshape(-1))
-            terms.append((per_pt.reshape(n_box, n_pts, 1),
-                          v.transpose(1, 2, 0),
-                          -0.5 * (u * u).sum(axis=0)[:, None],
-                          u.transpose(1, 0, 2)))
+        core, k = self.core, self.n
+        zw = core.inv_chol[:, :, :s] @ (
+            _columns(spatial.reshape(-1, s))[None] - core.means[:, :s, None])
+        u = core.inv_chol[:, s:, s:] @ (
+            _columns(temporal.reshape(n_box * n_t, -1))[None]
+            - core.means[:, s:, None])
+        # Per point lw - (norm + |z|^2 + |W|^2) / 2 and per time
+        # -|u|^2 / 2; each pair adds -W.u.
+        per_pt = (core.log_weights[:, None] - 0.5 * (
+            core.norms[:, None] + np.einsum("kdn,kdn->kn", zw, zw))
+        ).reshape(k, n_box, n_pts, 1)
+        per_t = -0.5 * np.einsum("kdn,kdn->kn", u, u).reshape(k, n_box, 1, n_t)
+        neg_w = np.ascontiguousarray(
+            -zw[:, s:].reshape(k, -1, n_box, n_pts).transpose(0, 2, 3, 1))
+        u = np.ascontiguousarray(
+            u.reshape(k, -1, n_box, n_t).transpose(0, 2, 1, 3))
 
         def pdf(times):
-            out = np.empty((len(terms), n_box, n_pts, len(range(n_t)[times])))
-            for j, (per_pt, v, per_t, u) in enumerate(terms):
-                np.matmul(v, u[..., times], out=out[j])
-                out[j] += per_pt
-                out[j] += per_t[..., times]
-            return np.exp(_logsumexp(out, axis=0))
+            out = np.matmul(neg_w, u[..., times])
+            out += per_pt
+            out += per_t[..., times]
+            return np.exp(_logsumexp(out))
         return pdf
 
 
@@ -499,17 +481,16 @@ def _hard_moments(points, assign, n, floor, centers, diagonal=False):
     return weights, means, *_floor_covariance(covs, floor, diagonal)
 
 
-def _m_step(points, resp, floor, diagonal):
-    """M-step on (k, N) `resp`, summing nk and means in (N, k) order."""
-    resp_nk = np.ascontiguousarray(resp.T)
-    nk = resp_nk.sum(axis=0) + 10.0 * np.finfo(float).eps
+def _m_step(points, cols, resp, work, floor, diagonal):
+    """M-step on the (k, N) responsibilities `resp` of the rows of
+    `points` (N, dim), whose columns (dim, N) are `cols`; `work` is as in
+    `MixtureCore.log_joint`."""
+    nk = resp.sum(axis=1) + 10.0 * np.finfo(float).eps
     weights = nk / nk.sum()
-    means = (resp_nk.T @ points) / nk[:, None]
-    n, dim = means.shape
-    covs = np.empty((n, dim, dim))
-    for j in range(n):
-        diff = points - means[j]
-        covs[j] = (resp[j][:, None] * diff).T @ diff / nk[j]
+    means = (resp @ points) / nk[:, None]
+    diff = np.subtract(cols[None], means[:, :, None], out=work[0])
+    weighted = np.multiply(resp[:, None], diff, out=work[1])
+    covs = weighted @ diff.swapaxes(1, 2) / nk[:, None, None]
     covs = 0.5 * (covs + covs.swapaxes(1, 2))
     return weights, means, *_floor_covariance(covs, floor, diagonal)
 
@@ -523,13 +504,18 @@ def _em_loop(points, params, cfg, diagonal):
     correspond to the last trace entry.  Returns ``(params, trace,
     stop)`` with `stop` as in `FitLog.stop`.
     """
-    n_pts = points.shape[0]
+    n_pts, dim = points.shape
+    cols = np.ascontiguousarray(points.T)
+    # One pair of (k, dim, N) arrays serves every step.  New ones on each
+    # step made glibc hand the freed heap top back to the OS every time,
+    # and the page faults (about 660 a step at k = 8, dim = 11, N = 2,016)
+    # took as long as the arithmetic.
+    work = np.empty((2, len(params[0]), dim, n_pts))
     trace: list[float] = []
     prev_params = params
     for it in range(cfg.max_iter + 1):
-        log_joint = MixtureCore(*params[:3]).log_joint(
-            points, components_first=True)
-        log_norm = _logsumexp(log_joint, axis=0, total=_row_sum)
+        log_joint = MixtureCore(*params[:3]).log_joint(cols, work)
+        log_norm = _logsumexp(log_joint)
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
             return prev_params, trace, "reverted"
@@ -539,7 +525,8 @@ def _em_loop(points, params, cfg, diagonal):
             return params, trace, "tol" if converged else "max_iter"
         prev_params = params
         resp = np.exp(log_joint - log_norm)
-        params = _m_step(points, resp, cfg.eig_floor, diagonal)
+        params = _m_step(points, cols, resp, work, cfg.eig_floor,
+                         diagonal)
 
 
 def _package(params, trace, stop, layout, restarts,

@@ -9,6 +9,7 @@ their cells.  Method rankings across folds are settled by paired
 two-sided t-tests.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -243,6 +244,16 @@ class SweepResult:
     failures: list[tuple[object, str]] = field(default_factory=list)
 
 
+# Scores this close, relative to the larger, tie: a rounding difference
+# between two parameters that predict alike must not pick the later one.
+TIE_RTOL = 1e-9
+
+
+def _clearly_lower(score: float, best: float) -> bool:
+    """True when `score` is below `best` by more than a tie."""
+    return score < best and not math.isclose(score, best, rel_tol=TIE_RTOL)
+
+
 def _default_scorer(predictor, validation: Dataset) -> float:
     coords = validation.coords if validation.spatial_dim else None
     preds = np.atleast_1d(predictor.predict(coords, validation.times))
@@ -253,9 +264,10 @@ def sweep(train: Dataset, validation: Dataset, factory, params,
           scorer=None) -> SweepResult:
     """Score ``factory(train, p)`` on the validation data for every p.
 
-    Returns the argmin parameter; ties go to the earlier (smaller)
-    parameter.  A parameter whose construction or scoring raises is
-    skipped with a warning; if every parameter fails, the sweep fails.
+    Returns the argmin parameter; ties, up to `TIE_RTOL`, go to the
+    earlier (smaller) parameter.  A parameter whose construction or
+    scoring raises is skipped with a warning; if every parameter fails,
+    the sweep fails.
     """
     params = list(params)
     if not params:
@@ -274,7 +286,7 @@ def sweep(train: Dataset, validation: Dataset, factory, params,
             failures.append((p, str(exc)))
             continue
         scores.append((p, score))
-        if score < best_score:
+        if _clearly_lower(score, best_score):
             best, best_score = p, score
     if best is None:
         raise ValueError("every parameter in the sweep failed")

@@ -17,9 +17,9 @@ the number of training events.
 
 Event grids and batches of cells are evaluated by one function: each
 box (a whole grid, or one queried cell) is its spatial midpoints times
-its temporal midpoints, and `MixtureModel.product_pdf` solves against
-the cached Cholesky factors once per spatial point and once per time,
-then gets every pair's quadratic form from one matrix product.  A
+its temporal midpoints, and `MixtureModel.product_pdf` whitens with
+the cached inverse Cholesky factors once per spatial point and once per
+time, then gets every pair's quadratic form from one matrix product.  A
 cell's density is the mean over its midpoints.  A collapsed spatial
 axis that leaves the calibration grid without mass is an error.
 """
@@ -35,7 +35,7 @@ import numpy as np
 from .clustering import (FitConfig, FitLog, GaussianComponent, MixtureModel,
                          em_fit_stable, km_fit)
 from .dataset import EVENT, VALUED, Dataset, SpatialStats, standardize
-from .evaluation import GridSpec, grid_count
+from .evaluation import GridSpec, _clearly_lower, grid_count
 from .projection import (DimensionLayout, HypertimeProjection, assemble,
                          project_times)
 from .spectral import (WEEK_SECONDS, ResidualSeries, default_candidates,
@@ -518,10 +518,10 @@ def select_cluster_count(train: Dataset,
                          cfg: BuildConfig | None = None) -> ClusterCountSelection:
     """Pick the mixture size for the k-means route at h = 0.
 
-    Grows n while the residual spectral sum keeps strictly falling,
-    i.e. while an extra cluster removes temporal structure (or overall
-    magnitude) from the residuals; stops at the first non-improvement
-    or at ``cfg.cluster_cap``.
+    Grows n while the residual spectral sum keeps falling by more than
+    a tie (`evaluation.TIE_RTOL`), i.e. while an extra cluster removes
+    temporal structure (or overall magnitude) from the residuals; stops
+    at the first non-improvement or at ``cfg.cluster_cap``.
     """
     cfg = cfg or BuildConfig()
     if train.mode != VALUED:
@@ -542,7 +542,7 @@ def select_cluster_count(train: Dataset,
     chosen = 1
     for m in range(2, cap + 1):
         pairs.append((m, score(m)))
-        if pairs[-2][1] > pairs[-1][1]:
+        if _clearly_lower(pairs[-1][1], pairs[-2][1]):
             chosen = m
         else:
             break

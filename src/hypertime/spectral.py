@@ -153,8 +153,8 @@ def ranked_candidates(times, rows, periods) -> np.ndarray:
 
 def amplitude(series: ResidualSeries, period: float) -> float:
     """Spectral amplitude of one candidate period."""
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not 0 < period < np.inf:
+        raise ValueError("period must be positive and finite")
     return float(_phase_sums(series, [period])[0])
 
 
@@ -197,6 +197,6 @@ def _checked(candidates) -> list[float]:
     candidates = [float(c) for c in candidates]
     if not candidates:
         raise ValueError("empty candidate set")
-    if any(c <= 0 for c in candidates):
-        raise ValueError("candidate periods must be positive")
+    if not all(0 < c < np.inf for c in candidates):
+        raise ValueError("candidate periods must be positive and finite")
     return candidates

@@ -1,5 +1,7 @@
 """Mixture fitting: EM, stability handling, and mixed-metric k-means."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,9 +19,10 @@ from hypertime import (
     kmeans_init,
     mixed_distance,
 )
-from hypertime.clustering import (MixtureCore, _default_init, _em_loop,
-                                  _factor, _logpdf_at, _logsumexp,
-                                  _pairwise_mixed, _row_sum)
+from hypertime import clustering
+from hypertime.clustering import (COND_CEILING, MixtureCore, _default_init,
+                                  _em_loop, _inverse_factor, _log_density,
+                                  _logsumexp, _pairwise_mixed)
 
 VALUE_ONLY = DimensionLayout(True, 0, 0)
 VALUE_1D = DimensionLayout(True, 1, 0)
@@ -70,6 +73,13 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
+def conditioned_cov(rng, dim, cond):
+    """A random covariance with eigenvalues spread from 1 down to 1/cond."""
+    q, _ = np.linalg.qr(rng.normal(0, 1, (dim, dim)))
+    cov = (q * np.logspace(0, -np.log10(cond), dim)) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
 def random_mixture(rng, layout, k):
     comps = []
     for _ in range(k):
@@ -83,11 +93,20 @@ def random_mixture(rng, layout, k):
     return MixtureModel(comps, layout)
 
 
+def scipy_logpdf(comp, pts):
+    """`multivariate_normal.logpdf` of one component at the rows of `pts`
+    (0 throughout for zero dimensions, which scipy does not take)."""
+    if comp.dim == 0:
+        return np.zeros(len(pts))
+    return stats.multivariate_normal(comp.mean, comp.covariance).logpdf(pts)
+
+
 def stacked_logpdf(mix, pts):
-    """The mixture log density as computed before the factor cache."""
-    stacked = np.stack([np.log(c.weight) + c.logpdf(pts)
+    """The mixture log density through scipy: each component's
+    `multivariate_normal.logpdf`, then `logsumexp` across components."""
+    stacked = np.stack([np.log(c.weight) + scipy_logpdf(c, pts)
                         for c in mix.components])
-    return logsumexp(stacked, axis=0)
+    return logsumexp(stacked.reshape(mix.n, -1), axis=0)
 
 
 def hard_rows(rng, n, k):
@@ -104,26 +123,29 @@ def hard_rows(rng, n, k):
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_logsumexp_matches_scipy_bit_for_bit(k):
-    # Both layouts the call sites pass: EM's C-contiguous (n, k) reduced
-    # along axis 1, and MixtureModel.logpdf's C-contiguous (k, n) reduced
-    # along axis 0.  The two sum in different orders, so each is checked
-    # against scipy on its own layout.
+    # The (k, n) table every caller passes, reduced along axis 0, as
+    # scipy reduces the same array.
     rng = np.random.default_rng(100 + k)
-    rows = hard_rows(rng, 4000, k)
-    cols = np.ascontiguousarray(rows.T)
-    assert same_bits(_logsumexp(rows, axis=1), logsumexp(rows, axis=1))
-    assert same_bits(_logsumexp(cols, axis=0), logsumexp(cols, axis=0))
-    # EM's components-first table, summed in the (n, k) rows' order.
-    assert same_bits(_logsumexp(cols, axis=0, total=_row_sum),
-                     logsumexp(rows, axis=1))
+    cols = np.ascontiguousarray(hard_rows(rng, 4000, k).T)
+    got = _logsumexp(cols)
+    assert got.shape == (4000,)
+    assert same_bits(got, logsumexp(cols, axis=0))
+
+
+def added_in_row_order(rows):
+    """The sum of `rows` as a component-by-component loop adds them."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
 
 
 @pytest.mark.parametrize("k", [*range(1, 18), 130])
 def test_row_sum_adds_in_numpys_row_order(k):
-    # numpy 2 sums a contiguous row in sequence below 8 entries and in 8
-    # pairwise-combined accumulators from 8 on, so a plain axis-0 sum of
-    # the (k, n) table differs from k = 8.  If a numpy release changes
-    # its order, this fails here instead of silently moving EM fits.
+    # Sums across the k components run along axis 0 of a (k, n) array,
+    # which numpy adds row after row for every k, unlike a sum along a
+    # row (8 accumulators from 8 entries, halving above 128).  So the
+    # stacked sums equal a loop over the components, bit for bit.
     rng = np.random.default_rng(300 + k)
     a = rng.normal(0, 1, (k, 3000)) * 10.0 ** rng.integers(-8, 9, (k, 3000))
     a[:, :20] = -0.0
@@ -132,15 +154,23 @@ def test_row_sum_adds_in_numpys_row_order(k):
     a[0, 43], a[-1, 43] = np.inf, -np.inf
     a[:, 44] = np.inf
     with np.errstate(invalid="ignore"):
-        got = _row_sum(a)
-        expect = np.ascontiguousarray(a.T).sum(axis=1)
-    assert got.shape == (1, a.shape[1])
-    assert same_bits(got[0], expect)
+        assert same_bits(a.sum(axis=0), added_in_row_order(a))
+    # logsumexp's fallback for non-finite columns included.
+    assert same_bits(_logsumexp(a), logsumexp(a, axis=0))
+    # A valued mixture's conditional-mean terms, against each component
+    # on its own.
+    lay = DimensionLayout(True, 1, 1)
+    mix = random_mixture(rng, lay, k)
+    rest = rng.normal(0, 2, (500, lay.width - 1))
+    alone = [MixtureModel([c], lay).core for c in mix.components]
+    for j, got in enumerate(mix.core.value_terms(rest)):
+        parts = np.stack([core.value_terms(rest)[j] for core in alone])
+        assert same_bits(got, added_in_row_order(parts))
 
 
 def solved_logpdf(diff, chol, norm):
     """The Gaussian log density through scipy's solve_triangular, the
-    formula `_logpdf_at` replaces."""
+    formula the inverse factor replaces."""
     if diff.shape[1] == 0:
         return np.zeros(diff.shape[0])
     dev = solve_triangular(chol, diff.T, lower=True)
@@ -148,44 +178,116 @@ def solved_logpdf(diff, chol, norm):
     return -0.5 * (norm + quad)
 
 
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_logpdf_at_matches_solve_triangular_bit_for_bit(dim):
+@pytest.mark.parametrize("cond", [1e1, 1e6, COND_CEILING])
+@pytest.mark.parametrize("dim", range(1, 12))
+def test_inverse_factor_matches_solve_triangular(dim, cond):
+    # Up to the condition number at which a fit counts as unstable, the
+    # quadratic form through the explicit inverse factor stays within
+    # 1e-10 relative of the triangular solve (worst seen: 1.3e-11).
     rng = np.random.default_rng(200 + dim)
-    a = rng.normal(0, 1, (dim, dim))
-    chol, norm = _factor(a @ a.T + 0.1 * np.eye(dim))
-    for factor in (chol, np.asfortranarray(chol)):
-        for n in (0, 1, 2, 1000):
-            diff = rng.normal(0, 3, (n, dim))
-            got = _logpdf_at(diff, factor, norm)
-            assert got.shape == (n,)
-            assert same_bits(got, solved_logpdf(diff, factor, norm))
+    cov = conditioned_cov(rng, dim, cond)
+    chol = np.linalg.cholesky(cov)
+    inv_chol, norm = _inverse_factor(cov[None])
+    assert not np.triu(inv_chol[0], 1).any()
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    np.testing.assert_allclose(norm[0], dim * np.log(2 * np.pi) + logdet,
+                               rtol=1e-14, atol=1e-12)
+    for n in (0, 1, 2, 1000):
+        diff = rng.multivariate_normal(np.zeros(dim), cov, n) * 3.0
+        got = _log_density(diff.T[None], inv_chol, norm)[0]
+        assert got.shape == (n,)
+        quad = -2.0 * got - norm[0]
+        expect = -2.0 * solved_logpdf(diff, chol, norm[0]) - norm[0]
+        np.testing.assert_allclose(quad, expect, rtol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_logpdf_at_rejects_non_finite_rows(bad):
-    chol, norm = _factor(np.eye(3))
-    diff = np.zeros((4, 3))
-    diff[2, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        _logpdf_at(diff, chol, norm)
+    # Every density evaluation checks its points once, by name.
+    lay = DimensionLayout(True, 1, 1)
+    mix = random_mixture(np.random.default_rng(3), lay, 2)
+    pts = np.zeros((4, lay.width))
+    pts[2, 1] = bad
+    for evaluate in (mix.components[0].logpdf, mix.logpdf,
+                     lambda p: mix.core.value_terms(p[:, 1:]),
+                     lambda p: mix.product_pdf(p[None, :, :1],
+                                               p[None, :, 1:])):
+        with pytest.raises(ValueError, match="^cannot evaluate a Gaussian "
+                                             "at a non-finite point$"):
+            evaluate(pts)
+
+
+@pytest.mark.parametrize("layout", [
+    DimensionLayout(False, 0, 0), DimensionLayout(False, 2, 1),
+    DimensionLayout(True, 0, 1), DimensionLayout(True, 1, 2)])
+def test_mixture_logpdf_matches_scipy(layout):
+    rng = np.random.default_rng(layout.width)
+    for k in (1, 3, 10):
+        mix = random_mixture(rng, layout, k)
+        pts = rng.normal(0, 3, (2_000, layout.width))
+        # An absolute 1e-12 in the log is 1e-12 relative in the density.
+        np.testing.assert_allclose(mix.logpdf(pts), stacked_logpdf(mix, pts),
+                                   rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("layout", [
     DimensionLayout(False, 0, 0), DimensionLayout(False, 2, 1),
     DimensionLayout(True, 0, 1), DimensionLayout(True, 1, 2)])
 def test_mixture_logpdf_matches_component_stack_bit_for_bit(layout):
+    # The stacked core gives each component's own density, and sums them
+    # as scipy's logsumexp does.
     rng = np.random.default_rng(layout.width)
     for k in (1, 3, 10):
         mix = random_mixture(rng, layout, k)
-        # Enough rows that a reduction in another order than scipy's
-        # (k, n) axis-0 sum shows at k = 10.
+        # Enough rows that the widest layout is evaluated in two blocks
+        # at k = 10.
         pts = rng.normal(0, 3, (20_000, layout.width))
-        assert same_bits(mix.logpdf(pts), stacked_logpdf(mix, pts))
+        stacked = np.stack([np.log(c.weight) + c.logpdf(pts)
+                            for c in mix.components])
+        assert same_bits(mix.logpdf(pts), logsumexp(stacked, axis=0))
+
+
+def test_density_blocks_give_the_unblocked_values(monkeypatch):
+    # Points are evaluated over column blocks; a block's width may change
+    # the kernel BLAS picks, but nothing beyond rounding.
+    rng = np.random.default_rng(23)
+    lay = DimensionLayout(True, 1, 2)
+    mix = random_mixture(rng, lay, 3)
+    pts = rng.normal(0, 2, (1001, lay.width))
+    whole = mix.logpdf(pts), *mix.core.value_terms(pts[:, 1:])
+    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 100)
+    blocked = MixtureModel(mix.components, lay)
+    assert len(clustering._blocks(pts.T, 3)) > 100
+    for got, expect in zip((blocked.logpdf(pts),
+                            *blocked.core.value_terms(pts[:, 1:])), whole):
+        np.testing.assert_allclose(got, expect, rtol=1e-14)
+
+
+def test_mixture_logpdf_near_the_condition_ceiling():
+    # scipy's multivariate_normal treats a covariance at cond 1e10 as
+    # singular, so the oracle is the triangular solve per component,
+    # held to the quadratic form's 1e-10.
+    rng = np.random.default_rng(17)
+    lay = DimensionLayout(True, 1, 2)
+    covs = [conditioned_cov(rng, lay.width, c) for c in (1e2, COND_CEILING)]
+    comps = [GaussianComponent(w, rng.normal(0, 1, lay.width), cov)
+             for w, cov in zip((0.3, 0.7), covs)]
+    mix = MixtureModel(comps, lay)
+    pts = np.vstack([rng.multivariate_normal(c.mean, c.covariance, 500)
+                     for c in comps])
+    stacked = []
+    for c in comps:
+        chol = np.linalg.cholesky(c.covariance)
+        norm = lay.width * np.log(2 * np.pi) + 2 * np.log(np.diag(chol)).sum()
+        stacked.append(np.log(c.weight)
+                       + solved_logpdf(pts - c.mean, chol, norm))
+    np.testing.assert_allclose(mix.logpdf(pts), logsumexp(stacked, axis=0),
+                               rtol=1e-10)
 
 
 def test_em_log_joint_matches_component_formula():
-    # The E-step's (n, k) table equals the per-component formula it
-    # replaced, entry for entry.
+    # The E-step's (k, n) table is each component's log density under
+    # scipy plus its log-weight.
     rng = np.random.default_rng(41)
     lay = DimensionLayout(True, 1, 1)
     mix = random_mixture(rng, lay, 4)
@@ -193,12 +295,10 @@ def test_em_log_joint_matches_component_formula():
     means = np.stack([c.mean for c in mix.components])
     covs = np.stack([c.covariance for c in mix.components])
     pts = rng.normal(0, 2, (300, lay.width))
-    table = MixtureCore(weights, means, covs).log_joint(pts)
-    expect = np.stack([np.log(weights[j])
-                       + GaussianComponent(1.0, means[j], covs[j]).logpdf(pts)
-                       for j in range(4)], axis=1)
-    assert table.flags.c_contiguous
-    assert same_bits(table, expect)
+    table = MixtureCore(weights, means, covs).log_joint(pts.T)
+    expect = np.stack([np.log(weights[j]) + stats.multivariate_normal(
+        means[j], covs[j]).logpdf(pts) for j in range(4)])
+    np.testing.assert_allclose(table, expect, rtol=1e-12, atol=1e-12)
 
 
 def test_mixture_core_is_built_on_first_use_and_kept():
@@ -208,7 +308,8 @@ def test_mixture_core_is_built_on_first_use_and_kept():
     # An edit before the first evaluation is honoured ...
     mix.components[0].mean[0] = 5.0
     before = mix.logpdf(pts)
-    assert same_bits(before, stacked_logpdf(mix, pts))
+    np.testing.assert_allclose(before, stacked_logpdf(mix, pts), rtol=1e-12,
+                               atol=1e-12)
     # ... and the factors are not rebuilt afterwards.
     core = mix.core
     mix.components[0].mean[0] = -5.0
@@ -470,9 +571,11 @@ def test_points_validated():
 
 
 # ---------------------------------------------------------------------------
-# EM oracle: the fit as it ran on an (n, k) table, one component at a time.
-# The components-first rewrite must give the same bits for every k, both
-# orders of numpy's row sum (below and from 8 entries) included.
+# EM oracles, one component at a time.  The slow formula: an (n, k) table
+# through the triangular solve and scipy's logsumexp, which the stacked EM
+# meets to rounding.  The exact one: a (k, n) table, each row through its
+# own inverse Cholesky factor, which the stacked EM meets bit for bit,
+# for every k and both covariance forms.
 
 
 def ref_log_joint(weights, means, covs, points):
@@ -560,14 +663,58 @@ def ref_m_step(points, resp, floor, diagonal):
     return weights, means, covs, raw
 
 
-def ref_em_loop(points, params, cfg, diagonal):
+def exact_log_joint(weights, means, covs, cols):
+    """``log w_j + log N_j(x)`` as a (k, n) table, row by row, for the
+    columns x of `cols` (dim, n)."""
+    out = np.empty((len(means), cols.shape[1]))
+    for j in range(len(means)):
+        chol = np.linalg.cholesky(covs[j])
+        norm = (covs[j].shape[0] * float(np.log(2.0 * np.pi))
+                + 2.0 * np.log(np.diag(chol)).sum())
+        dev = np.tril(np.linalg.inv(chol)) @ (cols - means[j][:, None])
+        out[j] = np.log(weights[j]) - 0.5 * (
+            norm + np.einsum("dn,dn->n", dev, dev))
+    return out
+
+
+def exact_m_step(points, resp, floor, diagonal):
+    """The M-step on (k, n) responsibilities, one covariance at a time."""
+    nk = resp.sum(axis=1) + 10.0 * np.finfo(float).eps
+    weights = nk / nk.sum()
+    means = (resp @ points) / nk[:, None]
+    n, dim = means.shape
+    covs = np.empty((n, dim, dim))
+    raw = []
+    cols = np.ascontiguousarray(points.T)
+    for j in range(n):
+        diff = cols - means[j][:, None]
+        cov = (resp[j] * diff) @ diff.T / nk[j]
+        cov = 0.5 * (cov + cov.T)
+        if diagonal:
+            cov = np.diag(np.diag(cov))
+        covs[j], lo, hi = ref_floor(cov, floor, diagonal)
+        raw.append((lo, hi))
+    return weights, means, covs, raw
+
+
+def ref_em_loop(points, params, cfg, diagonal, exact=False):
+    """EM through the slow formula, or with `exact` through the exact
+    oracle."""
+    cols = np.ascontiguousarray(points.T)
+    if exact:
+        def e_step(weights, means, covs):
+            return exact_log_joint(weights, means, covs, cols)
+        m_step, axis = exact_m_step, 0
+    else:
+        def e_step(weights, means, covs):
+            return ref_log_joint(weights, means, covs, points)
+        m_step, axis = ref_m_step, 1
     n_pts = points.shape[0]
     trace = []
     prev_params = params
     for it in range(cfg.max_iter + 1):
-        weights, means, covs, _ = params
-        log_joint = ref_log_joint(weights, means, covs, points)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_joint = e_step(*params[:3])
+        log_norm = logsumexp(log_joint, axis=axis, keepdims=True)
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
             params = prev_params
@@ -577,8 +724,8 @@ def ref_em_loop(points, params, cfg, diagonal):
         if converged or it == cfg.max_iter:
             break
         prev_params = params
-        resp = np.exp(log_joint - log_norm[:, None])
-        params = ref_m_step(points, resp, cfg.eig_floor, diagonal)
+        resp = np.exp(log_joint - log_norm)
+        params = m_step(points, resp, cfg.eig_floor, diagonal)
     return params, trace
 
 
@@ -590,9 +737,44 @@ def assert_same_params(got, expect):
         [float] * (2 * len(got[3]))
 
 
+def assert_close_params(got, expect, rtol):
+    """Weights, means, covariances and raw eigenvalues agree to `rtol`
+    relative to the largest entry of each."""
+    for g, e in (*zip(got[:3], expect[:3]), (got[3], expect[3])):
+        e = np.asarray(e)
+        np.testing.assert_allclose(g, e, rtol=rtol,
+                                   atol=rtol * np.abs(e).max())
+
+
 # d = 1: the value alone; 3: value and one period; 11: value and five.
 EM_LAYOUTS = {1: DimensionLayout(True, 0, 0), 3: DimensionLayout(True, 0, 1),
               11: DimensionLayout(True, 0, 5)}
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 11])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_em_matches_column_by_column_reference(k, d, diagonal):
+    rng = np.random.default_rng(1000 * k + d)
+    centers = rng.normal(0, 3, (k, d))
+    pts = centers[rng.integers(0, k, 300)] + rng.normal(0, 1, (300, d))
+    layout = EM_LAYOUTS[d]
+    cfg = FitConfig(n_clusters=k, seed=k, max_iter=25)
+    params = _default_init(pts, layout, cfg, 0, diagonal)
+    assert_same_params(params, ref_init(pts, layout, cfg, 0, diagonal))
+    # One step: the M-step's parameters and both log-likelihoods.
+    one = replace(cfg, max_iter=1)
+    got, trace, _ = _em_loop(pts, params, one, diagonal)
+    want, want_trace = ref_em_loop(pts, params, one, diagonal)
+    assert_close_params(got, want, 1e-12)
+    np.testing.assert_allclose(trace, want_trace, rtol=1e-12)
+    # The whole fit: the same number of steps to the same likelihood.
+    got, trace, stop = _em_loop(pts, params, cfg, diagonal)
+    want, want_trace = ref_em_loop(pts, params, cfg, diagonal)
+    assert len(trace) == len(want_trace)
+    assert trace[-1] == pytest.approx(want_trace[-1], rel=1e-9)
+    converged = abs(trace[-1] - trace[-2]) <= cfg.tol * len(pts)
+    assert stop == ("tol" if converged else "max_iter")
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
@@ -605,10 +787,8 @@ def test_em_matches_column_by_column_reference_bit_for_bit(k, d, diagonal):
     layout = EM_LAYOUTS[d]
     cfg = FitConfig(n_clusters=k, seed=k, max_iter=25)
     params = _default_init(pts, layout, cfg, 0, diagonal)
-    expect = ref_init(pts, layout, cfg, 0, diagonal)
-    assert_same_params(params, expect)
     got, trace, stop = _em_loop(pts, params, cfg, diagonal)
-    want, want_trace = ref_em_loop(pts, expect, cfg, diagonal)
+    want, want_trace = ref_em_loop(pts, params, cfg, diagonal, exact=True)
     assert_same_params(got, want)
     assert same_bits(trace, want_trace)
     converged = abs(trace[-1] - trace[-2]) <= cfg.tol * len(pts)
@@ -624,10 +804,26 @@ def test_em_reverts_like_reference_bit_for_bit():
              [(1e-6, 1e-6)])
     cfg = FitConfig(n_clusters=1, eig_floor=0.1)
     got, trace, stop = _em_loop(pts, start, cfg, False)
-    want, want_trace = ref_em_loop(pts, start, cfg, False)
+    want, want_trace = ref_em_loop(pts, start, cfg, False, exact=True)
     assert stop == "reverted"
     assert got is start and want is start
     assert same_bits(trace, want_trace) and len(trace) == 1
+
+
+def test_em_reverts_like_reference():
+    # Started below the eigenvalue floor, the first update must floor the
+    # variance and lose likelihood, so EM returns the start parameters.
+    rng = np.random.default_rng(5)
+    pts = rng.normal(0, 1e-3, (50, 1))
+    start = (np.array([1.0]), np.zeros((1, 1)), np.full((1, 1, 1), 1e-6),
+             [(1e-6, 1e-6)])
+    cfg = FitConfig(n_clusters=1, eig_floor=0.1)
+    got, trace, stop = _em_loop(pts, start, cfg, False)
+    want, want_trace = ref_em_loop(pts, start, cfg, False)
+    assert stop == "reverted"
+    assert got is start and want is start
+    assert len(trace) == 1 == len(want_trace)
+    assert trace[0] == pytest.approx(want_trace[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hypertime import (
     spectrum,
     sweep,
 )
+from hypertime.evaluation import TIE_RTOL
 
 
 def unit_grid(n_spatial=(4,), n_temporal=5):
@@ -192,6 +193,19 @@ def test_sweep_picks_best_and_breaks_ties_by_order():
     assert result.best == 3
     assert [p for p, _ in result.scores] == [1, 3, 5, 3]
     assert min(s for _, s in result.scores) == 0.0
+
+
+def test_sweep_near_tie_keeps_earlier_parameter():
+    # Scores within the tie tolerance keep the earlier parameter; a
+    # lower score beyond it wins.
+    tr = Dataset(np.array([0.0, 1.0]), np.empty((2, 0)),
+                 np.array([3.0, 3.0]))
+    for drop, best in ((1e-13, 1), (0.1 * TIE_RTOL, 1), (1e-6, 2)):
+        scores = {1: 0.5, 2: 0.5 * (1.0 - drop)}
+        result = sweep(tr, tr, lambda d, p: _Const(p), [1, 2],
+                       scorer=lambda predictor, _: scores[predictor.value])
+        assert result.best == best
+        assert result.scores == [(1, 0.5), (2, scores[2])]
 
 
 def test_sweep_skips_failing_params_with_warning():
@@ -397,6 +411,21 @@ def test_fremen_rejects_non_positive_candidates_on_both_paths(bad):
         with pytest.raises(ValueError, match="candidate periods must be positive"):
             per_cell_baseline(train, spec, cfg, [bad, 86400.0])
         with pytest.raises(ValueError, match="candidate periods must be positive"):
+            fremen_predictor(valued, 1, [bad, 86400.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fremen_rejects_non_finite_candidates_on_both_paths(bad):
+    train, spec = sparse_two_week_events()
+    valued = Dataset(train.times, np.empty((len(train), 0)),
+                     train.coords[:, 0])
+    cfg = BaselineConfig(kind="fremen", m_components=1)
+    message = "candidate periods must be positive and finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            per_cell_baseline(train, spec, cfg, [bad, 86400.0])
+        with pytest.raises(ValueError, match=message):
             fremen_predictor(valued, 1, [bad, 86400.0])
 
 

@@ -393,6 +393,21 @@ def test_select_cluster_count_spatial_blobs():
         assert scores[sel.chosen] >= scores[sel.chosen - 1]
 
 
+def test_select_cluster_count_keeps_one_cluster_on_purely_temporal_data():
+    # Without spatial dimensions every k predicts the same constant at
+    # h = 0, so k = 1 and k = 2 score alike up to rounding (here k = 2
+    # came out one ulp lower) and the smaller count stays.
+    rng = np.random.default_rng(7)
+    t = np.arange(0.0, 7 * DAY, 1200.0)
+    a = (0.6 + 0.25 * np.cos(2 * np.pi * t / DAY)
+         + 0.1 * np.cos(2 * np.pi * t / (8 * 3600.0))
+         + rng.normal(0.0, 0.05, t.size))
+    cfg = BuildConfig(fit=FitConfig(seed=42, backend="km"), cluster_cap=2)
+    sel = select_cluster_count(Dataset(t, np.empty((t.size, 0)), a), cfg)
+    assert sel.chosen == 1
+    assert sel.pairs[1][1] == pytest.approx(sel.pairs[0][1], rel=1e-12)
+
+
 def test_auto_clusters_used_by_km_backend(daily_data):
     cfg = BuildConfig(fit=FitConfig(seed=42, backend="km"), max_h=1)
     model = build(daily_data, cfg)

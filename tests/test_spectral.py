@@ -296,3 +296,16 @@ def test_prominent_period_matches_subset_ranking():
             for exclude in (strongest, drawn):
                 assert (prominent_period(s, cand, exclude)
                         == subset_prominent_period(s, cand, exclude))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_candidate_periods_are_rejected(bad):
+    t = np.arange(0.0, 7 * DAY_SECONDS, 1800.0)
+    series = ResidualSeries(t, np.cos(2 * np.pi * t / DAY_SECONDS))
+    for scan in (spectrum, prominent_period, spectral_sum):
+        with pytest.raises(ValueError,
+                           match="candidate periods must be positive and "
+                                 "finite"):
+            scan(series, [bad, DAY_SECONDS])
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        amplitude(series, bad)
