@@ -20,14 +20,14 @@ value on them.  A :class:`MixtureModel` builds its core on the first
 evaluation (or on `MixtureModel.core`) and keeps it: a component edited
 before that is honoured, one edited after it is not.  All k components
 whiten their deviations in one batched product with the inverse factors,
-so a density costs one matrix product and scipy's logsumexp (bit for
-bit) over the (k, N) table, after one check that the points are finite.  A
-large batch of points is evaluated in column blocks, so that memory does
-not grow with k.  An EM iteration builds a core from the current
-parameters, takes that (k, N) table as its E-step, and runs the M-step
-on the (k, N) responsibilities, both writing their (k, d, N) deviations
-into one pair of arrays kept for the whole fit; factoring and flooring
-treat all k covariances in one stacked LAPACK call each.
+so a density costs one matrix product and a max-shifted logsumexp over
+the (k, N) table, built in place, after one check that the points are
+finite.  A large batch of points is evaluated in column blocks, so that
+memory does not grow with k.  An EM iteration takes that table as its
+E-step; the exponentials the logsumexp leaves in it, over their sums,
+are the M-step's responsibilities.  Both steps write their (k, d, N)
+deviations into one pair of arrays kept for the whole fit; the M-step
+runs the stacked `eigh` floor only where a Cholesky factoring fails.
 """
 
 from dataclasses import dataclass, field
@@ -128,12 +128,16 @@ def _inverse_factor(covs):
     return np.tril(np.linalg.inv(chol)), covs.shape[-1] * _LOG_2PI + logdet
 
 
-def _log_density(diff, inv_chol, norms, out=None):
-    """Gaussian log densities (k, N) at the deviations `diff` (k, dim, N)
-    from the k means, given the inverse factors and log-normalisers; the
-    whitened deviations go to `out` if given."""
+def _log_joint(diff, log_weights, inv_chol, norms, out=None):
+    """``log w - (norm + |M diff|^2) / 2`` (k, N), built in place: the
+    weighted log densities at the deviations `diff` (k, dim, N) from the k
+    means; the whitened deviations go to `out` if given."""
     dev = np.matmul(inv_chol, diff, out=out)
-    return -0.5 * (norms[:, None] + np.einsum("kdn,kdn->kn", dev, dev))
+    table = np.einsum("kdn,kdn->kn", dev, dev)
+    table += norms[:, None]
+    table *= -0.5
+    table += log_weights[:, None]
+    return table
 
 
 # Densities at a batch of points are evaluated over column blocks of at
@@ -149,28 +153,18 @@ def _blocks(cols, k):
     return [cols[:, i:i + step] for i in range(0, max(cols.shape[1], 1), step)]
 
 
-def _logsumexp(a):
-    """``scipy.special.logsumexp(a, axis=0)`` of a real array, bit for bit.
-
-    Scipy's formula: with m entries equal to the maximum and s the sum of
-    exp(a - max) over the other entries, the result is
-    ``log1p(s / m) + log(m) + max``; where that is not finite it is
-    ``log(sum(exp(a)))``.  Both sums add the rows of `a` in order.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max(axis=0)
-        shifted = a - top
-        # A finite entry equals the maximum exactly when their difference
-        # is 0; a non-finite maximum ends in the fallback either way.
-        at_top = shifted == 0.0
-        exps = np.exp(shifted, out=shifted)
-        np.putmask(exps, at_top, 0.0)
-        m = at_top.sum(axis=0)
-        out = np.log1p(exps.sum(axis=0) / m) + np.log(m) + top
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out = np.where(bad, np.log(np.exp(a).sum(axis=0)), out)
-    return out
+def _logsumexp(a, keep=False):
+    """``log(sum(exp(a - top))) + top`` along axis 0, `top` the maximum,
+    overwriting `a` with ``exp(a - top)``; `keep` also returns those and
+    their sums.  A non-finite `top` shifts by 0, which gives scipy's -inf,
+    inf or NaN for a column of -inf, with +inf, or with NaN."""
+    top = a.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        exps = np.exp(np.subtract(a, top, out=a), out=a)
+        sums = exps.sum(axis=0)
+        out = np.log(sums) + top
+    return (out, exps, sums) if keep else out
 
 
 class MixtureCore:
@@ -187,8 +181,7 @@ class MixtureCore:
     """
 
     def __init__(self, weights, means, covs, valued=False):
-        self.weights = np.array(weights, dtype=float)
-        self.log_weights = np.log(self.weights)
+        self.log_weights = np.log(np.array(weights, dtype=float))
         self.means = np.array(means, dtype=float)
         covs = np.asarray(covs, dtype=float)
         self.inv_chol, self.norms = _inverse_factor(covs)
@@ -202,18 +195,20 @@ class MixtureCore:
         (dim, N) and component j.  `work`, a pair of (k, dim, N) arrays,
         takes the deviations in place of two new arrays."""
         diff = np.subtract(cols[None], self.means[:, :, None], out=work[0])
-        return self.log_weights[:, None] + _log_density(
-            diff, self.inv_chol, self.norms, out=work[1])
+        return _log_joint(diff, self.log_weights, self.inv_chol, self.norms,
+                          out=work[1])
 
     def value_terms(self, rest_pts):
         """Per row of `rest_pts`: ``(sum_j w_j q_j c_j, sum_j w_j q_j)``,
         where q_j is component j's marginal density over the rest
         dimensions and c_j the conditional mean of the value given them."""
         unscaled, mass = [], []
-        for cols in _blocks(_columns(rest_pts), len(self.weights)):
+        for cols in _blocks(_columns(rest_pts), len(self.log_weights)):
             diff = cols[None] - self.means[:, 1:, None]
-            wq = self.weights[:, None] * np.exp(
-                _log_density(diff, self.rest_inv_chol, self.rest_norms))
+            # Unshifted: a max shift cannot stop these sums underflowing.
+            wq = _log_joint(diff, self.log_weights, self.rest_inv_chol,
+                            self.rest_norms)
+            wq = np.exp(wq, out=wq)
             c = self.means[:, :1] + (self.betas[:, None] @ diff)[:, 0]
             unscaled.append((wq * c).sum(axis=0))
             mass.append(wq.sum(axis=0))
@@ -327,6 +322,7 @@ class MixtureModel:
             out = np.matmul(neg_w, u[..., times])
             out += per_pt
             out += per_t[..., times]
+            # In place: one more table-sized array raises grids' peak RSS.
             return np.exp(_logsumexp(out))
         return pdf
 
@@ -405,13 +401,9 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
     a cluster that loses all members is re-seeded from the point
     farthest from its current center.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if n < 1:
         raise ValueError("n must be >= 1")
-    if points.shape[0] < n:
-        raise ValueError("fewer points than clusters")
-    if points.shape[1] != layout.width:
-        raise ValueError("vector width does not match layout")
+    points = _check_points(points, layout, n)
     rng = np.random.default_rng(seed)
     centers = _renormalize_pairs(_seed_centers(points, layout, n, rng), layout)
     assign = None
@@ -447,22 +439,29 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
 
 def _floor_covariance(covs, floor, diagonal=False):
     """Clamp the eigenvalues of each of the (k, d, d) `covs` (with
-    `diagonal`, its diagonal) to `floor`; also returns the raw (min, max)."""
+    `diagonal`, its diagonal) to `floor`; also returns the raw (min, max),
+    or None when `covs` pass unchanged: a Cholesky factoring of ``covs -
+    floor * I`` fails exactly when some eigenvalue is at or below it."""
     if diagonal:
         raw = np.diagonal(covs, axis1=1, axis2=2)
         floored = np.maximum(raw, floor)[..., None] * np.eye(covs.shape[-1])
+    elif _cholesky(covs - floor * np.eye(covs.shape[-1])) is not None:
+        return covs, None
     else:
         raw, vecs = np.linalg.eigh(covs)
         floored = (vecs * np.maximum(raw, floor)[:, None]) \
             @ vecs.swapaxes(1, 2)
         floored = 0.5 * (floored + floored.swapaxes(1, 2))
-    return floored, list(zip(raw.min(axis=1).tolist(),
-                             raw.max(axis=1).tolist()))
+    return floored, _extremes(raw)
 
 
-def _hard_moments(points, assign, n, floor, centers, diagonal=False):
+def _extremes(vals):
+    return list(zip(vals.min(axis=1).tolist(), vals.max(axis=1).tolist()))
+
+
+def _hard_moments(points, assign, cfg, centers, diagonal=False):
     """Initial (weights, means, covs, raw_eigs) from a hard assignment."""
-    n_pts, dim = points.shape
+    n, dim = cfg.n_clusters, points.shape[1]
     global_cov = np.cov(points, rowvar=False).reshape(dim, dim)
     counts = np.bincount(assign, minlength=n).astype(float)
     weights = np.maximum(counts, 1e-10)
@@ -478,7 +477,7 @@ def _hard_moments(points, assign, n, floor, centers, diagonal=False):
             means[j] = members.mean(axis=0)
             diff = members - means[j]
             covs[j] = diff.T @ diff / members.shape[0]
-    return weights, means, *_floor_covariance(covs, floor, diagonal)
+    return weights, means, *_floor_covariance(covs, cfg.eig_floor, diagonal)
 
 
 def _m_step(points, cols, resp, work, floor, diagonal):
@@ -514,8 +513,8 @@ def _em_loop(points, params, cfg, diagonal):
     trace: list[float] = []
     prev_params = params
     for it in range(cfg.max_iter + 1):
-        log_joint = MixtureCore(*params[:3]).log_joint(cols, work)
-        log_norm = _logsumexp(log_joint)
+        log_norm, exps, sums = _logsumexp(
+            MixtureCore(*params[:3]).log_joint(cols, work), keep=True)
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
             return prev_params, trace, "reverted"
@@ -524,33 +523,26 @@ def _em_loop(points, params, cfg, diagonal):
         if converged or it == cfg.max_iter:
             return params, trace, "tol" if converged else "max_iter"
         prev_params = params
-        resp = np.exp(log_joint - log_norm)
+        resp = np.divide(exps, sums, out=exps)
         params = _m_step(points, cols, resp, work, cfg.eig_floor,
                          diagonal)
 
 
 def _package(params, trace, stop, layout, restarts,
              fallback) -> MixtureModel:
-    weights, means, covs, raw = params
+    weights, means, covs, raw = params  # raw None: covs are not floored
+    raw = raw or _extremes(np.linalg.eigvalsh(covs))
     comps = [GaussianComponent(float(w), m, c)
              for w, m, c in zip(weights, means, covs)]
-    log = FitLog(
-        iterations=len(trace),
-        log_likelihood=trace[-1],
-        ll_trace=trace,
-        restarts=restarts,
-        diagonal_fallback=fallback,
-        raw_eigenvalues=raw,
-        stop=stop,
-    )
-    return MixtureModel(comps, layout, log)
+    return MixtureModel(comps, layout, FitLog(
+        len(trace), trace[-1], trace, restarts, fallback, raw, stop))
 
 
-def _check_points(points, layout, cfg):
+def _check_points(points, layout, n):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != layout.width:
         raise ValueError("vector width does not match layout")
-    if points.shape[0] < cfg.n_clusters:
+    if points.shape[0] < n:
         raise ValueError("fewer points than clusters")
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite entry in points")
@@ -561,15 +553,13 @@ def _default_init(points, layout, cfg, attempt, diagonal):
     rng = np.random.default_rng([cfg.seed, attempt])
     centers = _seed_centers(points, layout, cfg.n_clusters, rng)
     assign = _pairwise_mixed(points, centers, layout).argmin(axis=1)
-    return _hard_moments(points, assign, cfg.n_clusters, cfg.eig_floor,
-                         centers, diagonal)
+    return _hard_moments(points, assign, cfg, centers, diagonal)
 
 
 def _km_init(points, layout, cfg, attempt, diagonal):
     centers, assign = kmeans_init(points, layout, cfg.n_clusters,
                                   seed=[cfg.seed, attempt])
-    return _hard_moments(points, assign, cfg.n_clusters, cfg.eig_floor,
-                         centers, diagonal)
+    return _hard_moments(points, assign, cfg, centers, diagonal)
 
 
 def detect_instability(model: MixtureModel, floor: float,
@@ -583,8 +573,8 @@ def detect_instability(model: MixtureModel, floor: float,
     if log is not None and log.raw_eigenvalues is not None:
         stats = log.raw_eigenvalues
     else:
-        vals = np.linalg.eigvalsh([c.covariance for c in model.components])
-        stats = zip(vals.min(axis=1), vals.max(axis=1))
+        stats = _extremes(np.linalg.eigvalsh(
+            [c.covariance for c in model.components]))
     return any(lo < floor or hi / max(lo, _TINY) > ceiling
                for lo, hi in stats)
 
@@ -598,7 +588,7 @@ def em_fit_stable(points, layout: DimensionLayout, cfg: FitConfig,
     redone with covariances constrained to diagonal matrices and the
     ``diagonal_fallback`` flag is set.
     """
-    points = _check_points(points, layout, cfg)
+    points = _check_points(points, layout, cfg.n_clusters)
     for attempt in range(MAX_RESTARTS + 1):
         params = _init(points, layout, cfg, attempt, diagonal=False)
         model = _package(*_em_loop(points, params, cfg, diagonal=False),

@@ -617,19 +617,8 @@ def model_from_dict(payload: dict) -> HypertimeModel:
         ]
         _check_components(comps)
         fit = payload.get("fit")
-        fit_log = None
-        if fit is not None:
-            raw = fit.get("raw_eigenvalues")
-            fit_log = FitLog(
-                iterations=fit["iterations"],
-                log_likelihood=fit["log_likelihood"],
-                ll_trace=list(fit["ll_trace"]),
-                restarts=fit["restarts"],
-                diagonal_fallback=fit["diagonal_fallback"],
-                raw_eigenvalues=None if raw is None else
-                [(float(lo), float(hi)) for lo, hi in raw],
-            )
-        mixture = MixtureModel(comps, layout, fit_log)
+        mixture = MixtureModel(comps, layout,
+                               None if fit is None else _fit_log(fit, comps))
         mixture.core  # factoring is the positive-definiteness check
         st, win = payload["spatial_stats"], payload["window"]
         d = layout.spatial_dim
@@ -670,6 +659,27 @@ def model_from_dict(payload: dict) -> HypertimeModel:
     if model.layout.n_periods != len(model.projection.periods):
         raise ValueError("layout and period list disagree")
     return model
+
+
+def _fit_log(fit, comps) -> FitLog:
+    """The `fit` block of a model payload with `comps`, checked."""
+    trace = _finite(fit["ll_trace"], "fit.ll_trace")
+    n = fit["iterations"]
+    if trace.ndim != 1 or type(n) is not int or not 0 < n == trace.size:
+        raise ValueError("fit.iterations must be a positive int equal to "
+                         "the length of the list fit.ll_trace")
+    trace = trace.tolist()
+    if fit["log_likelihood"] != trace[-1]:
+        raise ValueError("fit.log_likelihood must equal fit.ll_trace[-1]")
+    raw = fit.get("raw_eigenvalues")
+    if raw is not None:
+        raw = _finite(raw, "fit.raw_eigenvalues")
+        if raw.shape != (len(comps), 2) or np.any(raw[:, 0] > raw[:, 1]):
+            raise ValueError("fit.raw_eigenvalues must hold one (min, max) "
+                             "pair with min <= max per component")
+        raw = [tuple(pair) for pair in raw.tolist()]
+    return FitLog(n, trace[-1], trace, fit["restarts"],
+                  fit["diagonal_fallback"], raw)
 
 
 def _finite(values, name) -> np.ndarray:

@@ -21,7 +21,7 @@ from hypertime import (
 )
 from hypertime import clustering
 from hypertime.clustering import (COND_CEILING, MixtureCore, _default_init,
-                                  _em_loop, _inverse_factor, _log_density,
+                                  _em_loop, _inverse_factor, _log_joint,
                                   _logsumexp, _pairwise_mixed)
 
 VALUE_ONLY = DimensionLayout(True, 0, 0)
@@ -121,23 +121,48 @@ def hard_rows(rng, n, k):
     return a
 
 
-@pytest.mark.parametrize("k", range(1, 11))
-def test_logsumexp_matches_scipy_bit_for_bit(k):
-    # The (k, n) table every caller passes, reduced along axis 0, as
-    # scipy reduces the same array.
-    rng = np.random.default_rng(100 + k)
-    cols = np.ascontiguousarray(hard_rows(rng, 4000, k).T)
-    got = _logsumexp(cols)
-    assert got.shape == (4000,)
-    assert same_bits(got, logsumexp(cols, axis=0))
-
-
 def added_in_row_order(rows):
     """The sum of `rows` as a component-by-component loop adds them."""
-    total = np.zeros(rows.shape[1:])
+    total = np.zeros(np.shape(rows)[1:])
     for row in rows:
         total += row
     return total
+
+
+def plain_logsumexp(rows):
+    """The max-shifted logsumexp across `rows`, one row at a time; also
+    returns the shifted exponentials and their sums."""
+    top = rows[0].copy()
+    for row in rows[1:]:
+        top = np.maximum(top, row)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        exps = [np.exp(row - top) for row in rows]
+        sums = added_in_row_order(exps)
+        return np.log(sums) + top, exps, sums
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_logsumexp_matches_scipy_bit_for_bit(k):
+    # The (k, n) table every caller passes, reduced along axis 0: bit for
+    # bit the row-by-row transcription, and scipy's logsumexp of the same
+    # array bit for bit on non-finite columns and within 1e-15 relative
+    # on the others (scipy adds exp(a - max) in another order).  The
+    # absolute 1e-15 near 0 is 1e-15 relative in the sum of exponentials
+    # (worst seen: 3.7e-16).
+    rng = np.random.default_rng(100 + k)
+    cols = np.ascontiguousarray(hard_rows(rng, 4000, k).T)
+    expect = logsumexp(cols, axis=0)
+    plain, exps, sums = plain_logsumexp(cols)
+    got, got_exps, got_sums = _logsumexp(cols.copy(), keep=True)
+    assert got.shape == (4000,)
+    assert same_bits(got, plain) and same_bits(got_exps, exps)
+    assert same_bits(got_sums, sums)
+    assert same_bits(_logsumexp(cols.copy()), plain)
+    finite = np.isfinite(expect)
+    assert same_bits(got[~finite], expect[~finite])
+    np.testing.assert_allclose(got[finite], expect[finite], rtol=1e-15,
+                               atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [*range(1, 18), 130])
@@ -155,8 +180,13 @@ def test_row_sum_adds_in_numpys_row_order(k):
     a[:, 44] = np.inf
     with np.errstate(invalid="ignore"):
         assert same_bits(a.sum(axis=0), added_in_row_order(a))
-    # logsumexp's fallback for non-finite columns included.
-    assert same_bits(_logsumexp(a), logsumexp(a, axis=0))
+    # logsumexp's sums, non-finite columns included.
+    assert same_bits(_logsumexp(a.copy()), plain_logsumexp(a)[0])
+    # scipy's results where a column holds +inf or NaN, or only -inf.
+    expect = logsumexp(a, axis=0)
+    bad = ~np.isfinite(expect)
+    assert bad.sum() == (4 if k > 1 else 5)
+    assert same_bits(_logsumexp(a.copy())[bad], expect[bad])
     # A valued mixture's conditional-mean terms, against each component
     # on its own.
     lay = DimensionLayout(True, 1, 1)
@@ -194,7 +224,7 @@ def test_inverse_factor_matches_solve_triangular(dim, cond):
                                rtol=1e-14, atol=1e-12)
     for n in (0, 1, 2, 1000):
         diff = rng.multivariate_normal(np.zeros(dim), cov, n) * 3.0
-        got = _log_density(diff.T[None], inv_chol, norm)[0]
+        got = _log_joint(diff.T[None], np.zeros(1), inv_chol, norm)[0]
         assert got.shape == (n,)
         quad = -2.0 * got - norm[0]
         expect = -2.0 * solved_logpdf(diff, chol, norm[0]) - norm[0]
@@ -235,7 +265,7 @@ def test_mixture_logpdf_matches_scipy(layout):
     DimensionLayout(True, 0, 1), DimensionLayout(True, 1, 2)])
 def test_mixture_logpdf_matches_component_stack_bit_for_bit(layout):
     # The stacked core gives each component's own density, and sums them
-    # as scipy's logsumexp does.
+    # as the max-shifted logsumexp does, one component at a time.
     rng = np.random.default_rng(layout.width)
     for k in (1, 3, 10):
         mix = random_mixture(rng, layout, k)
@@ -244,7 +274,7 @@ def test_mixture_logpdf_matches_component_stack_bit_for_bit(layout):
         pts = rng.normal(0, 3, (20_000, layout.width))
         stacked = np.stack([np.log(c.weight) + c.logpdf(pts)
                             for c in mix.components])
-        assert same_bits(mix.logpdf(pts), logsumexp(stacked, axis=0))
+        assert same_bits(mix.logpdf(pts), plain_logsumexp(stacked)[0])
 
 
 def test_density_blocks_give_the_unblocked_values(monkeypatch):
@@ -261,6 +291,17 @@ def test_density_blocks_give_the_unblocked_values(monkeypatch):
     for got, expect in zip((blocked.logpdf(pts),
                             *blocked.core.value_terms(pts[:, 1:])), whole):
         np.testing.assert_allclose(got, expect, rtol=1e-14)
+
+
+def test_value_terms_are_zero_where_every_density_underflows():
+    # At 1e160 every squared deviation overflows to inf, so each log term
+    # is -inf and both sums are 0, as each w_j q_j is.
+    lay = DimensionLayout(True, 1, 1)
+    mix = random_mixture(np.random.default_rng(5), lay, 3)
+    rest = np.array([[1e160, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    unscaled, mass = mix.core.value_terms(rest)
+    assert unscaled[0] == mass[0] == 0.0
+    assert np.isfinite(unscaled[1]) and mass[1] > 0.0
 
 
 def test_mixture_logpdf_near_the_condition_ceiling():
@@ -568,14 +609,22 @@ def test_points_validated():
                       FitConfig(n_clusters=1))
     with pytest.raises(ValueError):
         em_fit_stable(np.zeros((4, 3)), VALUE_ONLY, FitConfig(n_clusters=1))
+    # k-means checks its points as EM does.
+    with pytest.raises(ValueError, match="^non-finite entry in points$"):
+        kmeans_init(np.array([[np.inf], [1.0]]), VALUE_ONLY, 1)
+    with pytest.raises(ValueError, match="^fewer points than clusters$"):
+        kmeans_init(np.zeros((2, 1)), VALUE_ONLY, 3)
 
 
 # ---------------------------------------------------------------------------
 # EM oracles, one component at a time.  The slow formula: an (n, k) table
-# through the triangular solve and scipy's logsumexp, which the stacked EM
-# meets to rounding.  The exact one: a (k, n) table, each row through its
-# own inverse Cholesky factor, which the stacked EM meets bit for bit,
-# for every k and both covariance forms.
+# through the triangular solve and scipy's logsumexp, with the eigenvalue
+# floor applied by `eigh` on every step, which the stacked EM meets to
+# rounding.  The exact one: a (k, n) table, each row through its own
+# inverse Cholesky factor, the max-shifted logsumexp row by row, and the
+# floor only on steps where some covariance has an eigenvalue at or below
+# it, which the stacked EM meets bit for bit, for every k and both
+# covariance forms.
 
 
 def ref_log_joint(weights, means, covs, points):
@@ -597,6 +646,39 @@ def ref_floor(cov, floor, diagonal):
     vals, vecs = np.linalg.eigh(cov)
     floored = (vecs * np.maximum(vals, floor)) @ vecs.T
     return 0.5 * (floored + floored.T), float(vals.min()), float(vals.max())
+
+
+def floor_fires(covs, floor):
+    """Whether some covariance has an eigenvalue at or below `floor`, by
+    the Cholesky factoring of each covariance less the floor."""
+    for cov in covs:
+        try:
+            chol = np.linalg.cholesky(cov - floor * np.eye(cov.shape[0]))
+        except np.linalg.LinAlgError:
+            return True
+        if not np.isfinite(chol).all():
+            return True
+    return False
+
+
+def floored_where_it_fires(covs, floor, diagonal):
+    """`ref_floor` of each covariance when the floor fires on any of them
+    (or for the diagonal form), with the raw (min, max) pairs; otherwise
+    the covariances as they are, with None for the pairs."""
+    if not diagonal and not floor_fires(covs, floor):
+        return np.array(covs), None
+    out = [ref_floor(cov, floor, diagonal) for cov in covs]
+    return np.array([o[0] for o in out]), [o[1:] for o in out]
+
+
+def with_raw_pairs(params):
+    """`params` with the (min, max) eigenvalues of its covariances, one
+    covariance at a time, where its raw pairs are None, as a fit reports
+    them."""
+    if params[3] is not None:
+        return params
+    vals = [np.linalg.eigvalsh(cov) for cov in params[2]]
+    return (*params[:3], [(float(v.min()), float(v.max())) for v in vals])
 
 
 def ref_seed_centers(points, layout, n, rng):
@@ -627,8 +709,7 @@ def ref_init(points, layout, cfg, attempt, diagonal):
     weights = np.maximum(counts, 1e-10)
     weights /= weights.sum()
     means = np.empty((n, dim))
-    covs = np.empty((n, dim, dim))
-    raw = []
+    covs = []
     for j in range(n):
         members = points[assign == j]
         if members.shape[0] == 0:
@@ -638,11 +719,9 @@ def ref_init(points, layout, cfg, attempt, diagonal):
             means[j] = members.mean(axis=0)
             diff = members - means[j]
             cov = diff.T @ diff / members.shape[0]
-        if diagonal:
-            cov = np.diag(np.diag(cov))
-        covs[j], lo, hi = ref_floor(cov, cfg.eig_floor, diagonal)
-        raw.append((lo, hi))
-    return weights, means, covs, raw
+        covs.append(np.diag(np.diag(cov)) if diagonal else cov)
+    return weights, means, *floored_where_it_fires(covs, cfg.eig_floor,
+                                                   diagonal)
 
 
 def ref_m_step(points, resp, floor, diagonal):
@@ -682,39 +761,37 @@ def exact_m_step(points, resp, floor, diagonal):
     nk = resp.sum(axis=1) + 10.0 * np.finfo(float).eps
     weights = nk / nk.sum()
     means = (resp @ points) / nk[:, None]
-    n, dim = means.shape
-    covs = np.empty((n, dim, dim))
-    raw = []
+    covs = []
     cols = np.ascontiguousarray(points.T)
-    for j in range(n):
+    for j in range(len(means)):
         diff = cols - means[j][:, None]
         cov = (resp[j] * diff) @ diff.T / nk[j]
         cov = 0.5 * (cov + cov.T)
-        if diagonal:
-            cov = np.diag(np.diag(cov))
-        covs[j], lo, hi = ref_floor(cov, floor, diagonal)
-        raw.append((lo, hi))
-    return weights, means, covs, raw
+        covs.append(np.diag(np.diag(cov)) if diagonal else cov)
+    return weights, means, *floored_where_it_fires(covs, floor, diagonal)
 
 
 def ref_em_loop(points, params, cfg, diagonal, exact=False):
     """EM through the slow formula, or with `exact` through the exact
     oracle."""
     cols = np.ascontiguousarray(points.T)
-    if exact:
-        def e_step(weights, means, covs):
-            return exact_log_joint(weights, means, covs, cols)
-        m_step, axis = exact_m_step, 0
-    else:
-        def e_step(weights, means, covs):
-            return ref_log_joint(weights, means, covs, points)
-        m_step, axis = ref_m_step, 1
+
+    def e_step(weights, means, covs):
+        """The log-likelihood terms and the responsibilities."""
+        if exact:
+            log_norm, exps, sums = plain_logsumexp(
+                exact_log_joint(weights, means, covs, cols))
+            return log_norm, np.array(exps) / sums
+        log_joint = ref_log_joint(weights, means, covs, points)
+        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+        return log_norm, np.exp(log_joint - log_norm)
+
+    m_step = exact_m_step if exact else ref_m_step
     n_pts = points.shape[0]
     trace = []
     prev_params = params
     for it in range(cfg.max_iter + 1):
-        log_joint = e_step(*params[:3])
-        log_norm = logsumexp(log_joint, axis=axis, keepdims=True)
+        log_norm, resp = e_step(*params[:3])
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
             params = prev_params
@@ -724,7 +801,6 @@ def ref_em_loop(points, params, cfg, diagonal, exact=False):
         if converged or it == cfg.max_iter:
             break
         prev_params = params
-        resp = np.exp(log_joint - log_norm)
         params = m_step(points, resp, cfg.eig_floor, diagonal)
     return params, trace
 
@@ -732,14 +808,16 @@ def ref_em_loop(points, params, cfg, diagonal, exact=False):
 def assert_same_params(got, expect):
     for g, e in zip(got[:3], expect[:3]):
         assert same_bits(g, e)
+    # Both None where the floor left every covariance as it was.
     assert got[3] == expect[3]
-    assert [type(v) for pair in got[3] for v in pair] == \
-        [float] * (2 * len(got[3]))
+    assert [type(v) for pair in got[3] or [] for v in pair] == \
+        [float] * (2 * len(got[3] or []))
 
 
 def assert_close_params(got, expect, rtol):
-    """Weights, means, covariances and raw eigenvalues agree to `rtol`
-    relative to the largest entry of each."""
+    """Weights, means, covariances and raw eigenvalues (as the fit reports
+    them) agree to `rtol` relative to the largest entry of each."""
+    got, expect = with_raw_pairs(got), with_raw_pairs(expect)
     for g, e in (*zip(got[:3], expect[:3]), (got[3], expect[3])):
         e = np.asarray(e)
         np.testing.assert_allclose(g, e, rtol=rtol,
@@ -824,6 +902,58 @@ def test_em_reverts_like_reference():
     assert got is start and want is start
     assert len(trace) == 1 == len(want_trace)
     assert trace[0] == pytest.approx(want_trace[0], rel=1e-12)
+
+
+def points_with_spectra(rng, spectra):
+    """Per spectrum, 2 d points about a random mean whose covariance (with
+    weights 1/(2 d)) has that spectrum along random axes: +- sqrt(d l) v
+    for each eigenpair (l, v).  Returns the points and the one-hot (k, n)
+    responsibilities."""
+    d = len(spectra[0])
+    groups = []
+    for spectrum in spectra:
+        axes, _ = np.linalg.qr(rng.normal(0, 1, (d, d)))
+        steps = (axes * np.sqrt(d * np.asarray(spectrum))).T
+        groups.append(rng.normal(0, 3, d) + np.vstack([steps, -steps]))
+    resp = np.kron(np.eye(len(spectra)), np.ones(2 * d))
+    return np.vstack(groups), resp
+
+
+@pytest.mark.parametrize("scale", [0.5, 1 - 1e-9, 1 + 1e-9, 2.0])
+@pytest.mark.parametrize("d", [1, 3, 11])
+def test_floor_runs_eigh_only_where_it_fires(d, scale):
+    # One component well above the floor, one with its smallest eigenvalue
+    # at `scale` times it.  The M-step must give the covariances of the
+    # floor applied by `eigh` on every step, and the fit the raw (min, max)
+    # of `eigh`, both within 1e-12 of the largest entry, and the same
+    # stability verdict.
+    floor = 1e-6
+    spectra = [np.logspace(-2, -3, d),
+               np.r_[np.logspace(-2, -3, d)[:-1], scale * floor]]
+    pts, resp = points_with_spectra(np.random.default_rng(d), spectra)
+    cols = np.ascontiguousarray(pts.T)
+    work = np.empty((2, 2, d, len(pts)))
+    got = clustering._m_step(pts, cols, resp, work, floor, False)
+    # With a zero floor the reference M-step leaves every covariance as
+    # it is.
+    unfloored = exact_m_step(pts, resp, 0.0, False)[2]
+    expect = [ref_floor(cov, floor, False) for cov in unfloored]
+    # The factoring decides as the eigenvalues do, even 1e-9 from the
+    # floor; covariances it passes come back as they are.
+    assert (got[3] is not None) == (scale < 1)
+    if scale > 1:
+        assert same_bits(got[2], unfloored)
+    model = clustering._package(got, [0.0], "tol", EM_LAYOUTS[d], 0, False)
+    assert_close_params(
+        (got[0], got[1], np.stack([c.covariance for c in model.components]),
+         model.fit_log.raw_eigenvalues),
+        (got[0], got[1], np.stack([e[0] for e in expect]),
+         [e[1:] for e in expect]), 1e-12)
+    reference = replace(model.fit_log,
+                        raw_eigenvalues=[e[1:] for e in expect])
+    assert detect_instability(model, floor, COND_CEILING) == \
+        detect_instability(replace(model, fit_log=reference), floor,
+                           COND_CEILING) == (scale < 1)
 
 
 # ---------------------------------------------------------------------------

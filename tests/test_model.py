@@ -132,7 +132,8 @@ def random_mixture_model(rng, mode, spatial_dim, n_periods, k):
 def marginal_formula_mean(model, coords, times):
     """Expected reading by the formula the factor cache replaced: per
     query, each component's marginal over the non-value dimensions as
-    its own Gaussian and a fresh solve for the value-on-rest regression."""
+    its own Gaussian and a fresh solve for the value-on-rest regression.
+    The weight enters as its log, in the exponent of w_j q_j."""
     st = model.spatial_stats
     rest_pts = np.hstack([(coords - st.mean) / st.std,
                           project_times(times, model.projection)])
@@ -141,13 +142,13 @@ def marginal_formula_mean(model, coords, times):
     for comp in model.mixture.components:
         s_rr = comp.covariance[np.ix_(idx, idx)]
         marginal = GaussianComponent(comp.weight, comp.mean[idx], s_rr)
-        q = np.exp(marginal.logpdf(rest_pts))
+        wq = np.exp(np.log(comp.weight) + marginal.logpdf(rest_pts))
         if idx.size:
             beta = np.linalg.solve(s_rr, comp.covariance[idx, 0])
             c = comp.mean[0] + (rest_pts - comp.mean[idx]) @ beta
         else:
             c = np.full(rest_pts.shape[0], comp.mean[0])
-        unscaled += comp.weight * q * c
+        unscaled += wq * c
     return model.gamma * unscaled
 
 
@@ -748,6 +749,49 @@ def _corrupt(payload, field, value):
 def test_model_from_dict_rejects_bad_field(event_model, field, value, match):
     bad = json.loads(json.dumps(model_to_dict(event_model)))
     _corrupt(bad, field, value)
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(bad)
+
+
+NAN = float("nan")
+FIT_PAIRS = r"fit\.raw_eigenvalues must hold one \(min, max\) pair"
+FIT_ITERATIONS = r"fit\.iterations must be a positive int equal to"
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda fit, k: fit.update(raw_eigenvalues=[[NAN, 1.0]] * k),
+     r"fit\.raw_eigenvalues holds a non-finite"),
+    (lambda fit, k: fit.update(raw_eigenvalues=[]), FIT_PAIRS),
+    (lambda fit, k: fit.update(raw_eigenvalues=[[1.0]] * k), FIT_PAIRS),
+    (lambda fit, k: fit.update(raw_eigenvalues=[[1.0, 2.0]] * (k - 1)),
+     FIT_PAIRS),
+    (lambda fit, k: fit.update(raw_eigenvalues=[[2.0, 1.0]] * k), FIT_PAIRS),
+    (lambda fit, k: fit.update(iterations=-3), FIT_ITERATIONS),
+    (lambda fit, k: fit.update(iterations=0), FIT_ITERATIONS),
+    (lambda fit, k: fit.update(iterations=fit["iterations"] + 1),
+     FIT_ITERATIONS),
+    (lambda fit, k: fit.update(iterations=float(fit["iterations"])),
+     FIT_ITERATIONS),
+    (lambda fit, k: fit.update(iterations=True, ll_trace=fit["ll_trace"][-1:]),
+     FIT_ITERATIONS),
+    (lambda fit, k: fit.update(ll_trace=[]), FIT_ITERATIONS),
+    (lambda fit, k: fit.update(ll_trace=[fit["ll_trace"]]), FIT_ITERATIONS),
+    (lambda fit, k: fit["ll_trace"].__setitem__(0, NAN),
+     r"fit\.ll_trace holds a non-finite"),
+    (lambda fit, k: fit.update(iterations=-3, ll_trace=[NAN]),
+     r"fit\.ll_trace holds a non-finite"),
+    (lambda fit, k: fit.update(log_likelihood=fit["log_likelihood"] + 1.0),
+     r"fit\.log_likelihood must equal fit\.ll_trace\[-1\]"),
+], ids=["pair-nan", "no-pairs", "short-pair", "pair-missing", "min-above-max",
+        "iterations-negative", "iterations-zero", "iterations-off-by-one",
+        "iterations-float", "iterations-bool", "trace-empty", "trace-nested",
+        "trace-nan", "negative-iterations-nan-trace", "likelihood-not-last"])
+def test_model_from_dict_rejects_bad_fit_block(event_model, edit, match):
+    # The fit block is checked like the rest of the payload, by name; a
+    # NaN pair would make `detect_instability` call the fit stable.
+    bad = json.loads(json.dumps(model_to_dict(event_model)))
+    assert len(bad["fit"]["ll_trace"]) > 1
+    edit(bad["fit"], len(bad["components"]))
     with pytest.raises(ValueError, match=match):
         model_from_dict(bad)
 
