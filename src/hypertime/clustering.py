@@ -27,7 +27,24 @@ memory does not grow with k.  An EM iteration takes that table as its
 E-step; the exponentials the logsumexp leaves in it, over their sums,
 are the M-step's responsibilities.  Both steps write their (k, d, N)
 deviations into one pair of arrays kept for the whole fit; the M-step
-runs the stacked `eigh` floor only where a Cholesky factoring fails.
+runs the stacked `eigh` floor only where a Cholesky factoring fails,
+and at d = 1 clamps the 1 x 1 covariances instead.
+
+EM is accelerated by SQUAREM's SqS3 cycle (Varadhan & Roland, Scand. J.
+Statistics 35, 2008) over the stacked (weights, means, covariances): two
+EM steps theta0 -> theta1 -> theta2, the point ``theta0 + 2 s r + s^2
+v``, with ``r = theta1 - theta0``, ``v = theta2 - 2 theta1 + theta0``
+and ``s = |r|/|v|`` clamped to [1, limit], then one EM step from that
+point.  At s = 1 the point is theta2.  The limit starts at 1 and grows
+4-fold each time it binds on a used point.  A point is used only if its
+weights are positive, no eigenvalue of its covariances is at or below
+the floor and its log-likelihood is not below theta1's; otherwise the
+cycle goes on from theta2 and the limit shrinks 4-fold, never below 1.
+So the likelihood trace never decreases and ends at the returned
+parameters.  It holds one entry per parameter set the fit moved through,
+including used extrapolated points; `FitLog.iterations` is its length
+and `FitConfig.max_iter` caps it at ``max_iter + 1``.  A rejected
+point's likelihood evaluation is not in it.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +59,10 @@ _TINY = np.finfo(float).tiny
 # covariance whose eigenvalue ratio exceeds the ceiling counts as unstable.
 MAX_RESTARTS = 5
 COND_CEILING = 1e10
+# SQUAREM's step limit starts at 1, plain EM, and grows by the factor each
+# time it binds; each rejected extrapolation shrinks it, never below 1.
+_STEP_START = 1.0
+_STEP_FACTOR = 4.0
 
 
 @dataclass
@@ -437,16 +458,24 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
 # EM core
 
 
+def _clears_floor(covs, floor):
+    """Whether every eigenvalue of the (k, d, d) `covs` is above `floor`:
+    a Cholesky factoring of ``covs - floor * I`` fails exactly when one is
+    at or below it; at d = 1 the entries themselves decide."""
+    if covs.shape[-1] == 1:
+        return bool((covs[:, 0, 0] > floor).all())
+    return _cholesky(covs - floor * np.eye(covs.shape[-1])) is not None
+
+
 def _floor_covariance(covs, floor, diagonal=False):
     """Clamp the eigenvalues of each of the (k, d, d) `covs` (with
-    `diagonal`, its diagonal) to `floor`; also returns the raw (min, max),
-    or None when `covs` pass unchanged: a Cholesky factoring of ``covs -
-    floor * I`` fails exactly when some eigenvalue is at or below it."""
-    if diagonal:
+    `diagonal`, or at d = 1, its diagonal) to `floor`; also returns the
+    raw (min, max), or None when `covs` pass unchanged (`_clears_floor`)."""
+    if not diagonal and _clears_floor(covs, floor):
+        return covs, None
+    if diagonal or covs.shape[-1] == 1:
         raw = np.diagonal(covs, axis1=1, axis2=2)
         floored = np.maximum(raw, floor)[..., None] * np.eye(covs.shape[-1])
-    elif _cholesky(covs - floor * np.eye(covs.shape[-1])) is not None:
-        return covs, None
     else:
         raw, vecs = np.linalg.eigh(covs)
         floored = (vecs * np.maximum(raw, floor)[:, None]) \
@@ -494,12 +523,30 @@ def _m_step(points, cols, resp, work, floor, diagonal):
     return weights, means, *_floor_covariance(covs, floor, diagonal)
 
 
-def _em_loop(points, params, cfg, diagonal):
-    """Iterate EM from `params`; the likelihood trace is non-decreasing.
+def _extrapolate(theta0, theta1, theta2, limit):
+    """SQUAREM's SqS3 point ``theta0 + 2 s r + s^2 v`` over the stacked
+    (weights, means, covs) of two EM steps theta0 -> theta1 -> theta2, with
+    ``r = theta1 - theta0``, ``v = theta2 - 2 theta1 + theta0`` and ``s =
+    |r|/|v|`` clamped to [1, `limit`]; also returns whether the limit
+    bound."""
+    r = [b - a for a, b in zip(theta0[:3], theta1[:3])]
+    v = [c - b - x for b, c, x in zip(theta1[:3], theta2[:3], r)]
+    sr2 = sum(float((x * x).sum()) for x in r)
+    sv2 = sum(float((x * x).sum()) for x in v)
+    step = min(limit, max(1.0, float(np.sqrt(sr2 / sv2)))) if sv2 > 0 \
+        else limit
+    point = [a + (2.0 * step) * x + (step * step) * y
+             for a, x, y in zip(theta0[:3], r, v)]
+    return (*point, None), step == limit
 
-    If an update ever lowers the log-likelihood (possible once the
-    eigenvalue floor starts rewriting covariances) the loop reverts to
-    the previous parameters and stops, so the returned parameters always
+
+def _em_loop(points, params, cfg, diagonal):
+    """SQUAREM-accelerated EM from `params`, cycle by cycle as the module
+    docstring describes.
+
+    If an EM step ever lowers the log-likelihood (possible once the
+    eigenvalue floor starts rewriting covariances) the loop returns the
+    parameters before it and stops, so the returned parameters always
     correspond to the last trace entry.  Returns ``(params, trace,
     stop)`` with `stop` as in `FitLog.stop`.
     """
@@ -510,22 +557,58 @@ def _em_loop(points, params, cfg, diagonal):
     # and the page faults (about 660 a step at k = 8, dim = 11, N = 2,016)
     # took as long as the arithmetic.
     work = np.empty((2, len(params[0]), dim, n_pts))
-    trace: list[float] = []
-    prev_params = params
-    for it in range(cfg.max_iter + 1):
+
+    def e_step(params):
+        """The log-likelihood at `params` and the responsibilities."""
         log_norm, exps, sums = _logsumexp(
             MixtureCore(*params[:3]).log_joint(cols, work), keep=True)
-        ll = float(log_norm.sum())
-        if trace and ll < trace[-1] - 1e-9:
-            return prev_params, trace, "reverted"
-        converged = bool(trace) and abs(ll - trace[-1]) <= cfg.tol * n_pts
+        return float(log_norm.sum()), np.divide(exps, sums, out=exps)
+
+    def m_step(resp):
+        return _m_step(points, cols, resp, work, cfg.eig_floor, diagonal)
+
+    def record(ll):
+        """Append `ll` to the trace; the reason to stop there, if any."""
+        converged = abs(ll - trace[-1]) <= cfg.tol * n_pts
         trace.append(ll)
-        if converged or it == cfg.max_iter:
-            return params, trace, "tol" if converged else "max_iter"
-        prev_params = params
-        resp = np.divide(exps, sums, out=exps)
-        params = _m_step(points, cols, resp, work, cfg.eig_floor,
-                         diagonal)
+        if converged or len(trace) > cfg.max_iter:
+            return "tol" if converged else "max_iter"
+        return None
+
+    def advance(old, new):
+        """The E-step at `new`, one EM step on from `old`: `new` (or `old`
+        if the step lost likelihood), the responsibilities at `new` and
+        the reason to stop, if any."""
+        ll, resp = e_step(new)
+        if ll < trace[-1] - 1e-9:
+            return old, resp, "reverted"
+        return new, resp, record(ll)
+
+    ll, resp = e_step(params)
+    trace = [ll]
+    limit = _STEP_START
+    while True:
+        theta0 = params
+        params, resp, stop = advance(theta0, m_step(resp))
+        if stop:
+            return params, trace, stop
+        theta1, theta2 = params, m_step(resp)
+        point, bound = _extrapolate(theta0, theta1, theta2, limit)
+        ll = -np.inf
+        if (point[0] > 0).all() and _clears_floor(point[2], cfg.eig_floor):
+            ll, resp = e_step(point)
+        if ll >= trace[-1]:
+            stop = record(ll)
+            if stop:
+                return point, trace, stop
+            if bound:
+                limit *= _STEP_FACTOR
+            params, resp, stop = advance(point, m_step(resp))
+        else:
+            limit = max(_STEP_START, limit / _STEP_FACTOR)
+            params, resp, stop = advance(theta1, theta2)
+        if stop:
+            return params, trace, stop
 
 
 def _package(params, trace, stop, layout, restarts,

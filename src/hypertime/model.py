@@ -678,12 +678,20 @@ def _fit_log(fit, comps) -> FitLog:
             raise ValueError("fit.raw_eigenvalues must hold one (min, max) "
                              "pair with min <= max per component")
         raw = [tuple(pair) for pair in raw.tolist()]
-    return FitLog(n, trace[-1], trace, fit["restarts"],
-                  fit["diagonal_fallback"], raw)
+    restarts, fallback = fit["restarts"], fit["diagonal_fallback"]
+    if type(restarts) is not int or restarts < 0:
+        raise ValueError("fit.restarts must be a non-negative int")
+    if type(fallback) is not bool:
+        raise ValueError("fit.diagonal_fallback must be a bool")
+    return FitLog(n, trace[-1], trace, restarts, fallback, raw)
 
 
 def _finite(values, name) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers in a regular array") \
+            from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} holds a non-finite number")
     return arr

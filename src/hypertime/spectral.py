@@ -20,7 +20,10 @@ The module holds one phase table, the cos and sin of the last (times,
 candidates) pair: 2*l*K doubles for l distinct times and K candidates.
 It is keyed by a private byte copy of both arrays; a call with equal
 bytes reuses it and any other call replaces it, so no result depends on
-earlier calls or on a caller changing its arrays later.
+earlier calls or on a caller changing its arrays later.  Beside it the
+module holds the sort of the last series' timestamps (`np.unique` with
+the inverse), keyed the same way by the raw times, so repeated scans of
+one event residual layout (90,720 entries) sort it once.
 `prominent_period` ranks the whole candidate list and skips excluded
 periods, so every step of a build reuses the first step's table.
 """
@@ -96,26 +99,35 @@ def _ranking(amps, periods) -> np.ndarray:
     return np.lexsort((-periods, -amps), axis=-1)
 
 
-# (key, cos, sin) of the last phase table; see the module docstring.
-_held = None
+# The last phase table and the last sort of a series' timestamps, each
+# as name -> (key, result); see the module docstring.
+_held = {}
+
+
+def _hold(name, key, build):
+    """`build()`, or the result held under `name` if it was built for an
+    equal `key`; any other key drops the held result before building."""
+    held = _held.get(name)  # read once: a concurrent miss only rebuilds
+    if held is not None and held[0] == key:
+        return held[1]
+    held = _held[name] = None  # drop the old result before building
+    result = build()
+    for arr in result:
+        arr.flags.writeable = False
+    _held[name] = (key, result)
+    return result
 
 
 def _trig(times, periods) -> tuple[np.ndarray, np.ndarray]:
     """Read-only cos and sin of the phase table 2*pi*t/T, (l, K) each;
     cos/sin sums over it avoid complex temporaries."""
-    global _held
     times, periods = (np.asarray(a, dtype=float) for a in (times, periods))
-    key = (times.tobytes(), periods.tobytes())
-    held = _held  # read once: a concurrent miss can only cost a rebuild
-    if held is not None and held[0] == key:
-        return held[1:]
-    _held = held = None  # drop the old table before building the next
-    phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
-    sin = np.sin(phases)
-    cos = np.cos(phases, out=phases)
-    cos.flags.writeable = sin.flags.writeable = False
-    _held = (key, cos, sin)
-    return cos, sin
+
+    def build():
+        phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
+        sin = np.sin(phases)
+        return np.cos(phases, out=phases), sin
+    return _hold("trig", (times.tobytes(), periods.tobytes()), build)
 
 
 def _amplitudes(times, rows, periods) -> np.ndarray:
@@ -127,8 +139,10 @@ def _amplitudes(times, rows, periods) -> np.ndarray:
     another order, and a sparse row whose candidates tie up to rounding
     (one event over whole weeks) would then rank them otherwise.
     """
+    times = np.asarray(times, dtype=float)
     length = times.shape[0]
-    distinct, inverse = np.unique(times, return_inverse=True)
+    distinct, inverse = _hold("sort", times.tobytes(), lambda: np.unique(
+        times, return_inverse=True))
     if distinct.shape[0] < length:
         times = distinct
         rows = [np.bincount(inverse, weights=row, minlength=distinct.shape[0])

@@ -805,6 +805,76 @@ def ref_em_loop(points, params, cfg, diagonal, exact=False):
     return params, trace
 
 
+def ref_squarem_loop(points, params, cfg, diagonal):
+    """SQUAREM's SqS3 cycle written out over the exact oracle's steps:
+    theta1 and theta2 by EM, the extrapolated point, and one EM step from
+    that point if its weights are positive, no eigenvalue of its
+    covariances is at or below the floor and its log-likelihood is not
+    below theta1's; otherwise the cycle goes on from theta2."""
+    cols = np.ascontiguousarray(points.T)
+    tol = cfg.tol * points.shape[0]
+
+    def e_step(params):
+        log_norm, exps, sums = plain_logsumexp(
+            exact_log_joint(*params[:3], cols))
+        return float(log_norm.sum()), np.array(exps) / sums
+
+    def m_step(resp):
+        return exact_m_step(points, resp, cfg.eig_floor, diagonal)
+
+    ll, resp = e_step(params)
+    trace = [ll]
+    limit = 1.0
+    while True:
+        theta0, ll0 = params, trace[-1]
+        theta1 = m_step(resp)
+        ll1, resp = e_step(theta1)
+        if ll1 < ll0 - 1e-9:
+            return theta0, trace, "reverted"
+        trace.append(ll1)
+        if abs(ll1 - ll0) <= tol:
+            return theta1, trace, "tol"
+        if len(trace) == cfg.max_iter + 1:
+            return theta1, trace, "max_iter"
+        theta2 = m_step(resp)
+        r = [theta1[i] - theta0[i] for i in range(3)]
+        v = [(theta2[i] - theta1[i]) - r[i] for i in range(3)]
+        sr2 = float(np.sum(r[0] * r[0])) + float(np.sum(r[1] * r[1])) \
+            + float(np.sum(r[2] * r[2]))
+        sv2 = float(np.sum(v[0] * v[0])) + float(np.sum(v[1] * v[1])) \
+            + float(np.sum(v[2] * v[2]))
+        step = limit if sv2 == 0 else float(np.clip(np.sqrt(sr2 / sv2), 1.0,
+                                                    limit))
+        point = [theta0[i] + (2.0 * step) * r[i] + (step * step) * v[i]
+                 for i in range(3)]
+        point.append(None)
+        used = np.all(point[0] > 0) and not floor_fires(point[2],
+                                                       cfg.eig_floor)
+        if used:
+            ll_point, resp = e_step(point)
+            used = ll_point >= ll1
+        if used:
+            trace.append(ll_point)
+            if abs(ll_point - ll1) <= tol:
+                return point, trace, "tol"
+            if len(trace) == cfg.max_iter + 1:
+                return point, trace, "max_iter"
+            if step == limit:
+                limit *= 4.0
+            prev, ll_prev, params = point, ll_point, m_step(resp)
+        else:
+            limit = max(1.0, limit / 4.0)
+            prev, ll_prev, params = theta1, ll1, theta2
+        ll, resp = e_step(params)
+        if ll < ll_prev - 1e-9:
+            return prev, trace, "reverted"
+        trace.append(ll)
+        if abs(ll - ll_prev) <= tol:
+            return params, trace, "tol"
+        if len(trace) == cfg.max_iter + 1:
+            return params, trace, "max_iter"
+
+
 def assert_same_params(got, expect):
     for g, e in zip(got[:3], expect[:3]):
         assert same_bits(g, e)
@@ -829,28 +899,33 @@ EM_LAYOUTS = {1: DimensionLayout(True, 0, 0), 3: DimensionLayout(True, 0, 1),
               11: DimensionLayout(True, 0, 5)}
 
 
+def em_case(k, d, diagonal, max_iter=25):
+    """k blobs of 300 points in d dimensions, a config and the start."""
+    rng = np.random.default_rng(1000 * k + d)
+    centers = rng.normal(0, 3, (k, d))
+    pts = centers[rng.integers(0, k, 300)] + rng.normal(0, 1, (300, d))
+    cfg = FitConfig(n_clusters=k, seed=k, max_iter=max_iter)
+    return pts, _default_init(pts, EM_LAYOUTS[d], cfg, 0, diagonal), cfg
+
+
 @pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("d", [1, 3, 11])
 @pytest.mark.parametrize("k", range(1, 11))
 def test_em_matches_column_by_column_reference(k, d, diagonal):
-    rng = np.random.default_rng(1000 * k + d)
-    centers = rng.normal(0, 3, (k, d))
-    pts = centers[rng.integers(0, k, 300)] + rng.normal(0, 1, (300, d))
-    layout = EM_LAYOUTS[d]
-    cfg = FitConfig(n_clusters=k, seed=k, max_iter=25)
-    params = _default_init(pts, layout, cfg, 0, diagonal)
-    assert_same_params(params, ref_init(pts, layout, cfg, 0, diagonal))
+    pts, params, cfg = em_case(k, d, diagonal)
+    assert_same_params(params, ref_init(pts, EM_LAYOUTS[d], cfg, 0, diagonal))
     # One step: the M-step's parameters and both log-likelihoods.
     one = replace(cfg, max_iter=1)
     got, trace, _ = _em_loop(pts, params, one, diagonal)
     want, want_trace = ref_em_loop(pts, params, one, diagonal)
     assert_close_params(got, want, 1e-12)
     np.testing.assert_allclose(trace, want_trace, rtol=1e-12)
-    # The whole fit: the same number of steps to the same likelihood.
+    # The whole fit: at the same cap, the accelerated fit ends no lower
+    # than plain EM through the slow formula, within the tolerance.
     got, trace, stop = _em_loop(pts, params, cfg, diagonal)
     want, want_trace = ref_em_loop(pts, params, cfg, diagonal)
-    assert len(trace) == len(want_trace)
-    assert trace[-1] == pytest.approx(want_trace[-1], rel=1e-9)
+    assert len(trace) <= cfg.max_iter + 1
+    assert trace[-1] >= want_trace[-1] - cfg.tol * len(pts)
     converged = abs(trace[-1] - trace[-2]) <= cfg.tol * len(pts)
     assert stop == ("tol" if converged else "max_iter")
 
@@ -859,18 +934,70 @@ def test_em_matches_column_by_column_reference(k, d, diagonal):
 @pytest.mark.parametrize("d", [1, 3, 11])
 @pytest.mark.parametrize("k", range(1, 11))
 def test_em_matches_column_by_column_reference_bit_for_bit(k, d, diagonal):
-    rng = np.random.default_rng(1000 * k + d)
-    centers = rng.normal(0, 3, (k, d))
-    pts = centers[rng.integers(0, k, 300)] + rng.normal(0, 1, (300, d))
-    layout = EM_LAYOUTS[d]
-    cfg = FitConfig(n_clusters=k, seed=k, max_iter=25)
-    params = _default_init(pts, layout, cfg, 0, diagonal)
+    pts, params, cfg = em_case(k, d, diagonal)
+    got, trace, stop = _em_loop(pts, params, cfg, diagonal)
+    want, want_trace, want_stop = ref_squarem_loop(pts, params, cfg,
+                                                   diagonal)
+    assert_same_params(got, want)
+    assert same_bits(trace, want_trace)
+    assert stop == want_stop
+    converged = abs(trace[-1] - trace[-2]) <= cfg.tol * len(pts)
+    assert stop == ("tol" if converged else "max_iter")
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 11])
+def test_em_one_step_is_plain_em_bit_for_bit(d, diagonal):
+    # With max_iter = 1 no cycle gets to extrapolate.
+    pts, params, cfg = em_case(4, d, diagonal, max_iter=1)
     got, trace, stop = _em_loop(pts, params, cfg, diagonal)
     want, want_trace = ref_em_loop(pts, params, cfg, diagonal, exact=True)
     assert_same_params(got, want)
-    assert same_bits(trace, want_trace)
-    converged = abs(trace[-1] - trace[-2]) <= cfg.tol * len(pts)
-    assert stop == ("tol" if converged else "max_iter")
+    assert same_bits(trace, want_trace) and len(trace) == 2
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("spoil", ["negative-weight", "below-floor",
+                                   "lower-likelihood"])
+def test_rejected_extrapolation_falls_back_to_theta2(monkeypatch, spoil, d):
+    # Every extrapolated point is spoiled, so every cycle goes on from
+    # theta2 and the fit is plain EM bit for bit, its trace non-decreasing
+    # (within the revert rule's 1e-9) and the step limit stuck at 1.  The
+    # point of lower likelihood costs one E-step outside the trace; the
+    # other two are turned down before their E-step.
+    pts, params, cfg = em_case(4, d, False)
+    real, offered, evaluations = clustering._extrapolate, [], []
+
+    def spoiled(theta0, theta1, theta2, limit):
+        point, bound = real(theta0, theta1, theta2, limit)
+        weights, means, covs = (np.array(a) for a in point[:3])
+        if spoil == "negative-weight":
+            weights[0] = -1e-3
+        elif spoil == "below-floor":
+            vals, vecs = np.linalg.eigh(covs[1])
+            covs[1] += (0.5 * cfg.eig_floor - vals[0]) * np.outer(
+                vecs[:, 0], vecs[:, 0])
+        else:
+            means += 10.0
+        offered.append(limit)
+        return (weights, means, covs, None), bound
+
+    def counted(a, keep=False):
+        if keep:  # only EM's E-steps keep the exponentials
+            evaluations.append(None)
+        return real_logsumexp(a, keep)
+
+    real_logsumexp = clustering._logsumexp
+    monkeypatch.setattr(clustering, "_extrapolate", spoiled)
+    monkeypatch.setattr(clustering, "_logsumexp", counted)
+    got, trace, stop = _em_loop(pts, params, cfg, False)
+    want, want_trace = ref_em_loop(pts, params, cfg, False, exact=True)
+    assert_same_params(got, want)
+    assert same_bits(trace, want_trace) and stop == "max_iter"
+    assert np.diff(trace).min() >= -1e-9
+    assert len(offered) == 12 and set(offered) == {1.0}
+    extra = len(offered) if spoil == "lower-likelihood" else 0
+    assert len(evaluations) == len(trace) + extra
 
 
 def test_em_reverts_like_reference_bit_for_bit():
@@ -943,6 +1070,10 @@ def test_floor_runs_eigh_only_where_it_fires(d, scale):
     assert (got[3] is not None) == (scale < 1)
     if scale > 1:
         assert same_bits(got[2], unfloored)
+    if d == 1:
+        # The floor clamps the 1 x 1 entries as `eigh` does, bit for bit.
+        assert same_bits(got[2], [e[0] for e in expect])
+        assert got[3] is None or got[3] == [e[1:] for e in expect]
     model = clustering._package(got, [0.0], "tol", EM_LAYOUTS[d], 0, False)
     assert_close_params(
         (got[0], got[1], np.stack([c.covariance for c in model.components]),
@@ -961,7 +1092,8 @@ def test_floor_runs_eigh_only_where_it_fires(d, scale):
 
 
 def overlapping_1d():
-    """Two overlapping blobs: EM takes 85 steps to meet the tolerance."""
+    """Two overlapping blobs: EM takes 21 steps to meet the tolerance
+    (plain EM took 85)."""
     rng = np.random.default_rng(1)
     return np.concatenate([rng.normal(-1, 1, 200),
                            rng.normal(1.5, 1, 200)])[:, None]
@@ -971,7 +1103,7 @@ def test_fit_log_stop_tol():
     model = em_fit_stable(overlapping_1d(), VALUE_ONLY,
                           FitConfig(n_clusters=2, seed=42))
     assert model.fit_log.stop == "tol"
-    assert model.fit_log.iterations == 85
+    assert model.fit_log.iterations == 21
 
 
 def test_fit_log_stop_max_iter():

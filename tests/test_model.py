@@ -600,7 +600,7 @@ def test_build_event_zero_width_extent():
     w = model.window
     assert w.spatial_hi[1] == w.spatial_lo[1] == 1.0
     assert not model.gamma_fallback
-    assert model.gamma == pytest.approx(0.00986986573083579, rel=1e-6)
+    assert model.gamma == pytest.approx(0.009863701650545875, rel=1e-6)
 
     def grid(widen, refine):
         hi = np.array([w.spatial_hi[0], w.spatial_lo[1] + widen])
@@ -756,6 +756,8 @@ def test_model_from_dict_rejects_bad_field(event_model, field, value, match):
 NAN = float("nan")
 FIT_PAIRS = r"fit\.raw_eigenvalues must hold one \(min, max\) pair"
 FIT_ITERATIONS = r"fit\.iterations must be a positive int equal to"
+FIT_RESTARTS = r"fit\.restarts must be a non-negative int"
+FIT_FALLBACK = r"fit\.diagonal_fallback must be a bool"
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -782,10 +784,21 @@ FIT_ITERATIONS = r"fit\.iterations must be a positive int equal to"
      r"fit\.ll_trace holds a non-finite"),
     (lambda fit, k: fit.update(log_likelihood=fit["log_likelihood"] + 1.0),
      r"fit\.log_likelihood must equal fit\.ll_trace\[-1\]"),
+    (lambda fit, k: fit["ll_trace"].__setitem__(0, fit["ll_trace"][:2]),
+     r"fit\.ll_trace must be numbers in a regular array"),
+    (lambda fit, k: fit.update(restarts="x"), FIT_RESTARTS),
+    (lambda fit, k: fit.update(restarts=-1), FIT_RESTARTS),
+    (lambda fit, k: fit.update(restarts=1.0), FIT_RESTARTS),
+    (lambda fit, k: fit.update(restarts=True), FIT_RESTARTS),
+    (lambda fit, k: fit.update(diagonal_fallback="no"), FIT_FALLBACK),
+    (lambda fit, k: fit.update(diagonal_fallback=0), FIT_FALLBACK),
 ], ids=["pair-nan", "no-pairs", "short-pair", "pair-missing", "min-above-max",
         "iterations-negative", "iterations-zero", "iterations-off-by-one",
         "iterations-float", "iterations-bool", "trace-empty", "trace-nested",
-        "trace-nan", "negative-iterations-nan-trace", "likelihood-not-last"])
+        "trace-nan", "negative-iterations-nan-trace", "likelihood-not-last",
+        "trace-ragged", "restarts-string", "restarts-negative",
+        "restarts-float", "restarts-bool", "fallback-string",
+        "fallback-int"])
 def test_model_from_dict_rejects_bad_fit_block(event_model, edit, match):
     # The fit block is checked like the rest of the payload, by name; a
     # NaN pair would make `detect_instability` call the fit stable.

@@ -15,6 +15,7 @@ from hypertime import (
     spectral_sum,
     spectrum,
 )
+from hypertime import spectral
 from hypertime.spectral import ranked_candidates
 
 
@@ -234,6 +235,31 @@ def test_phase_table_reuse_is_bit_exact_on_hits_and_misses():
         np.testing.assert_array_equal(ranked_candidates(times, rows, c),
                                       direct_ranking(times, rows, c))
         assert_direct(times, rows[0], c)
+
+
+def test_held_sort_of_a_tiled_series_is_bit_exact():
+    # An event residual layout: 336 bin times once per each of 40 cells.
+    # The second scan reuses the held sort of the 13,440 timestamps, as a
+    # later build step's scan of other residuals on them does; a third,
+    # after both held results are dropped, sorts and builds afresh.
+    rng = np.random.default_rng(17)
+    t = np.tile((np.arange(336) + 0.5) * 1800.0, 40)
+    s = ResidualSeries(t, rng.poisson(0.4, t.size) - 0.4)
+    cand = default_candidates(7 * DAY_SECONDS, WEEK_SECONDS, 168)
+    first = spectrum(s, cand)
+    held = spectral._held["sort"]
+    assert held[1][0].size == 336
+    second = spectrum(s, cand)
+    assert spectral._held["sort"] is held
+    spectral._held.clear()
+    third = spectrum(s, cand)
+    assert spectral._held["sort"] is not held
+    bits = [np.array(r.amplitudes).view(np.uint64)
+            for r in (first, second, third)]
+    assert first.periods == second.periods == third.periods
+    assert np.array_equal(bits[0], bits[1])
+    assert np.array_equal(bits[0], bits[2])
+    assert_direct(t, rng.normal(0, 1, t.size), cand)
 
 
 def test_call_bits_do_not_depend_on_earlier_calls():
