@@ -59,7 +59,6 @@ from .model import (
     build_event,
     calibrate_gamma,
     density,
-    event_residual_grid,
     load_model,
     model_error,
     model_from_dict,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .dataset import Dataset, VALUED
 # `spectrum` is unused here; perfbench/tracing.py still wraps this binding.
-from .spectral import (DAY_SECONDS, _checked, default_candidates,
-                       ranked_candidates, spectrum)
+from .spectral import (DAY_SECONDS, _checked, _ranking, default_candidates,
+                       fourier_coefficients, spectrum)
 
 
 @dataclass(frozen=True)
@@ -79,36 +79,20 @@ def _fremen_candidates(duration: float, m: int, candidates) -> list[float]:
     return candidates
 
 
-def _coefficients(times, centered, kept) -> np.ndarray:
-    """The c_k of each row of `centered` (n, l) at its kept periods (n, m).
-
-    The cos/sin of each distinct kept period are computed once for all
-    rows.
-    """
-    length = times.shape[0]
-    coefs = np.empty(kept.shape, dtype=complex)
-    for period in np.unique(kept):
-        phase = 2.0 * np.pi * times / period
-        cos, sin = np.cos(phase), np.sin(phase)
-        for r, k in zip(*np.nonzero(kept == period)):
-            re = float(np.dot(centered[r], cos)) / length
-            im = -float(np.dot(centered[r], sin)) / length
-            coefs[r, k] = complex(re, im)
-    return coefs
-
-
 class RowsPredictor:
     """One baseline fitted to each row of `rows` (n, l), every row a
     series on the shared `times`; `predict` returns (n, q).
 
     Mean predicts each row's average.  Hist predicts the row's mean over
     the query's time-of-day interval; intervals that saw no training data
-    fall back to the row's mean.  FreMEn keeps each row's m strongest
-    candidate periods (n, m) in `periods`, ranked over one phase table
-    (`ranked_candidates`), with one complex coefficient per kept period,
-    ``c_k = (1/l) * sum_i (a_i - mean) * exp(-j*2*pi*t_i/T_k)``, and
-    predicts ``mean + sum_k 2*Re(c_k * exp(+j*2*pi*t/T_k))``; Mean is
-    FreMEn without periods.
+    fall back to the row's mean.  FreMEn takes every row's coefficients
+    ``c_k = (1/l) * sum_i (a_i - mean) * exp(-j*2*pi*t_i/T_k)`` at every
+    candidate from one `fourier_coefficients` product, keeps each row's m
+    strongest periods (n, m) in `periods` and their coefficients, ranked
+    as `spectrum` ranks them (amplitudes within `TIE_RTOL` tie and the
+    longer period goes first), and predicts
+    ``mean + sum_k 2*Re(c_k * exp(+j*2*pi*t/T_k))``; Mean is FreMEn
+    without periods.
     """
 
     def __init__(self, times, rows, cfg: BaselineConfig, candidates=None):
@@ -125,11 +109,11 @@ class RowsPredictor:
             candidates = _fremen_candidates(float(times.max() - times.min()),
                                             m, candidates)
             if m:
-                centered = rows - self.means[:, None]
-                kept = ranked_candidates(times, centered, candidates)[:, :m]
+                coefs = fourier_coefficients(
+                    times, rows - self.means[:, None], candidates)
+                kept = _ranking(np.abs(coefs), candidates)[:, :m]
                 self.periods = np.asarray(candidates)[kept]
-                self.coefficients = _coefficients(times, centered,
-                                                  self.periods)
+                self.coefficients = np.take_along_axis(coefs, kept, axis=1)
 
     def predict(self, x, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))

@@ -18,6 +18,7 @@ from scipy import stats as _sstats
 
 from .baselines import BaselineConfig, make_baseline
 from .dataset import Dataset
+from .spectral import TIE_RTOL
 
 _EDGE_EPS = 1e-12
 
@@ -244,13 +245,10 @@ class SweepResult:
     failures: list[tuple[object, str]] = field(default_factory=list)
 
 
-# Scores this close, relative to the larger, tie: a rounding difference
-# between two parameters that predict alike must not pick the later one.
-TIE_RTOL = 1e-9
-
-
 def _clearly_lower(score: float, best: float) -> bool:
-    """True when `score` is below `best` by more than a tie."""
+    """True when `score` is below `best` by more than a tie (`TIE_RTOL`,
+    relative to the larger): a rounding difference between two
+    parameters that predict alike must not pick the later one."""
     return score < best and not math.isclose(score, best, rel_tol=TIE_RTOL)
 
 
@@ -307,7 +305,10 @@ def per_cell_baseline(train_events: Dataset, spec: GridSpec,
     the configured baseline is fitted to that per-bin count series, and
     its predictions at the grid's temporal bin centers become p_g.
     The training period is the span of the training events.  All cells
-    are fitted at once (`RowsPredictor`), each exactly as on its own.
+    are fitted at once (`RowsPredictor`): FreMEn ranks every cell's
+    candidates from one Fourier product, where amplitudes within
+    `TIE_RTOL` tie and the longer period goes first, so a sparse cell
+    whose amplitudes agree up to rounding keeps the longest periods.
     """
     if train_events.mode != "event":
         raise ValueError("per_cell_baseline expects event data")

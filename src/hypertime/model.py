@@ -389,21 +389,6 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
     return float(counts[0]) if single else counts
 
 
-def event_residual_grid(model: HypertimeModel, events: Dataset,
-                        spec: GridSpec, subsample: int = 1) -> ResidualSeries:
-    """The flattened residual series of predicted vs observed counts.
-
-    The series holds ``predicted - observed`` per cell on the temporal
-    bin-center timestamps (every spatial cell contributes one entry per
-    bin, so timestamps repeat).
-    """
-    observed = grid_count(events, spec)
-    eps = predict_counts(model, spec, subsample) - observed
-    reps = int(np.prod(spec.n_spatial)) if spec.spatial_dim else 1
-    times = np.tile(spec.temporal_centers, reps)
-    return ResidualSeries(times, eps.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # build loop
 
@@ -442,6 +427,7 @@ def _run_build(train: Dataset, cfg: BuildConfig,
     if mode == EVENT:
         ref_spec = training_grid(window, window.t_lo, window.t_hi,
                                  cfg.event_spatial_bin, cfg.event_temporal_bin)
+        observed = grid_count(train, ref_spec)
     proj = HypertimeProjection()
     best = None
     log: list[BuildStep] = []
@@ -454,11 +440,18 @@ def _run_build(train: Dataset, cfg: BuildConfig,
         if mode == VALUED:
             cand.gamma, cand.gamma_fallback = _calibrate_valued(cand, train)
             series = residuals(cand, train)
+            eps = series.values
         else:
             cand.gamma, cand.gamma_fallback = _calibrate_event(
                 cand, len(train), cfg)
-            series = event_residual_grid(cand, train, ref_spec)
-        err = float(np.sqrt(np.mean(series.values ** 2)))
+            # The error is over every cell.  The spectrum runs on the
+            # per-bin sums over the cells: their amplitudes are n_spatial
+            # times those of all cells' residuals, so periods rank alike.
+            eps = predict_counts(cand, ref_spec) - observed
+            series = ResidualSeries(
+                ref_spec.temporal_centers,
+                eps.reshape(-1, ref_spec.n_temporal).sum(axis=0))
+        err = float(np.sqrt(np.mean(eps ** 2)))
         if best is not None and err >= best.training_error:
             log.append(BuildStep(proj.h, err, period_added, kept=False))
             break
@@ -519,7 +512,7 @@ def select_cluster_count(train: Dataset,
     """Pick the mixture size for the k-means route at h = 0.
 
     Grows n while the residual spectral sum keeps falling by more than
-    a tie (`evaluation.TIE_RTOL`), i.e. while an extra cluster removes
+    a tie (`spectral.TIE_RTOL`), i.e. while an extra cluster removes
     temporal structure (or overall magnitude) from the residuals; stops
     at the first non-improvement or at ``cfg.cluster_cap``.
     """

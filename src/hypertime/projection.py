@@ -74,11 +74,6 @@ class DimensionLayout:
         start = int(self.has_value) + self.spatial_dim
         return [(start + 2 * k, start + 2 * k + 1) for k in range(self.n_periods)]
 
-    @property
-    def rest_indices(self) -> np.ndarray:
-        """All indices except the value dimension."""
-        return np.arange(int(self.has_value), self.width)
-
 
 def project_times(times, projection: HypertimeProjection) -> np.ndarray:
     """Vectorized projection; returns shape (l, 2h)."""

@@ -1,18 +1,27 @@
 """Non-uniform spectral analysis of residual series.
 
-Works directly on irregularly sampled points: the amplitude of a
-candidate period T over a series (t_i, e_i) is
+Works directly on irregularly sampled points: the Fourier coefficient of
+a candidate period T over a series (t_i, e_i) of l entries is
 
-    (1/l) * | sum_i (e_i - mean(e)) * exp(-j*2*pi*t_i/T) |
+    c = (1/l) * sum_i (e_i - mean(e)) * exp(-j*2*pi*t_i/T)
 
-accumulated through real cos/sin sums, so no resampling or FFT grid is
-involved and duplicate timestamps are legal.  The amplitude is linear in
-the values, so the centred values of repeated timestamps are summed
-before the phase sums, which then run over the distinct times only: an
-event residual series repeats each temporal bin once per spatial cell.
-A series without repeated timestamps passes through unchanged.
-One routine, `_amplitudes`, serves one series and the many rows of the
-per-cell FreMEn baselines alike, repeated timestamps included.
+and its amplitude is |c|.  No resampling or FFT grid is involved, and
+duplicate timestamps are legal.  One routine, `fourier_coefficients`,
+computes the coefficients (n, K) of n centred rows on shared times from
+one product of the rows with the cos/sin table of the phases 2*pi*t/T.
+`spectrum`, `amplitude`, `spectral_sum` and `prominent_period` use its
+one-row case; the per-cell FreMEn baselines use its rows and keep the
+coefficients of each row's strongest periods.  The coefficient is
+linear in the values, so the centred values of repeated timestamps are
+summed per distinct time before the product; a series without repeated
+timestamps passes through unchanged.
+
+Candidates rank by amplitude, strongest first.  Amplitudes that agree to
+about `TIE_RTOL` rank as equal (see `_ranking`) and the longer period
+goes first: among equals, coarse structure wins over its own harmonics
+and rounding noise does not pick.  A one-event count row over whole
+weeks has every amplitude equal up to rounding, and ranks the week and
+its first harmonics first.
 Candidate periods default to the integer fractions of one week, which
 covers the daily/weekly structure typical of human-driven environments.
 
@@ -20,10 +29,7 @@ The module holds one phase table, the cos and sin of the last (times,
 candidates) pair: 2*l*K doubles for l distinct times and K candidates.
 It is keyed by a private byte copy of both arrays; a call with equal
 bytes reuses it and any other call replaces it, so no result depends on
-earlier calls or on a caller changing its arrays later.  Beside it the
-module holds the sort of the last series' timestamps (`np.unique` with
-the inverse), keyed the same way by the raw times, so repeated scans of
-one event residual layout (90,720 entries) sort it once.
+earlier calls or on a caller changing its arrays later.
 `prominent_period` ranks the whole candidate list and skips excluded
 periods, so every step of a build reuses the first step's table.
 """
@@ -34,6 +40,9 @@ import numpy as np
 
 DAY_SECONDS = 86400.0
 WEEK_SECONDS = 604800.0
+# Relative tolerance of a tie, shared by spectra and scores: amplitudes,
+# or scores of parameters that predict alike, closer than this are equal.
+TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -94,91 +103,81 @@ def default_candidates(duration: float, longest: float = WEEK_SECONDS,
 
 def _ranking(amps, periods) -> np.ndarray:
     """Candidate order along the last axis: amplitude descending, ties to
-    the longer period so coarse structure wins over its own harmonics."""
+    the longer period.
+
+    Amplitudes tie when their logs fall in one step of width `TIE_RTOL`,
+    so they agree to about that relative tolerance; zeros tie with each
+    other and rank last.
+    """
+    with np.errstate(divide="ignore"):
+        level = np.floor(np.log(amps) / TIE_RTOL)
     periods = np.broadcast_to(np.asarray(periods, dtype=float), amps.shape)
-    return np.lexsort((-periods, -amps), axis=-1)
+    return np.lexsort((-periods, -level), axis=-1)
 
 
-# The last phase table and the last sort of a series' timestamps, each
-# as name -> (key, result); see the module docstring.
-_held = {}
-
-
-def _hold(name, key, build):
-    """`build()`, or the result held under `name` if it was built for an
-    equal `key`; any other key drops the held result before building."""
-    held = _held.get(name)  # read once: a concurrent miss only rebuilds
-    if held is not None and held[0] == key:
-        return held[1]
-    held = _held[name] = None  # drop the old result before building
-    result = build()
-    for arr in result:
-        arr.flags.writeable = False
-    _held[name] = (key, result)
-    return result
+# (key, (cos, sin)) of the last phase table; see the module docstring.
+_held = None
 
 
 def _trig(times, periods) -> tuple[np.ndarray, np.ndarray]:
     """Read-only cos and sin of the phase table 2*pi*t/T, (l, K) each;
     cos/sin sums over it avoid complex temporaries."""
+    global _held
     times, periods = (np.asarray(a, dtype=float) for a in (times, periods))
+    key = (times.tobytes(), periods.tobytes())
+    held = _held  # read once: a concurrent miss only rebuilds
+    if held is not None and held[0] == key:
+        return held[1]
+    held = _held = None  # drop the old table before building
+    phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
+    sin = np.sin(phases)
+    table = np.cos(phases, out=phases), sin
+    for arr in table:
+        arr.flags.writeable = False
+    _held = (key, table)
+    return table
 
-    def build():
-        phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
-        sin = np.sin(phases)
-        return np.cos(phases, out=phases), sin
-    return _hold("trig", (times.tobytes(), periods.tobytes()), build)
 
+def fourier_coefficients(times, rows, periods) -> np.ndarray:
+    """The coefficients c (n, K) of each centred row of `rows` (n, l) on
+    the shared `times` at each candidate period, from one product with
+    the phase table: ``(rows @ cos - j * rows @ sin) / l``.
 
-def _amplitudes(times, rows, periods) -> np.ndarray:
-    """Amplitudes (n, K) of each centred row of `rows` (n, l) on the same
-    `times`, over one phase table.
-
-    Each row is its own product with the table, the same 1-D @ 2-D call
-    for one series or many; one (n, l) @ (l, K) product would sum in
-    another order, and a sparse row whose candidates tie up to rounding
-    (one event over whole weeks) would then rank them otherwise.
+    Repeated timestamps are summed per distinct time first; l stays the
+    number of entries.
     """
     times = np.asarray(times, dtype=float)
     length = times.shape[0]
-    distinct, inverse = _hold("sort", times.tobytes(), lambda: np.unique(
-        times, return_inverse=True))
+    distinct, inverse = np.unique(times, return_inverse=True)
     if distinct.shape[0] < length:
         times = distinct
-        rows = [np.bincount(inverse, weights=row, minlength=distinct.shape[0])
-                for row in rows]
+        rows = np.array([np.bincount(inverse, weights=row,
+                                     minlength=distinct.shape[0])
+                         for row in rows])
     cos, sin = _trig(times, periods)
-    re = np.array([row @ cos for row in rows])
-    im = np.array([row @ sin for row in rows])
-    return np.hypot(re, im) / length
+    return (rows @ cos - 1j * (rows @ sin)) / length
 
 
-def _phase_sums(series: ResidualSeries, periods) -> np.ndarray:
-    return _amplitudes(series.times, [series.values - series.mean],
-                       periods)[0]
-
-
-def ranked_candidates(times, rows, periods) -> np.ndarray:
-    """Candidate order, strongest first, of each of n centred series
-    (rows, (n, l)) on the same timestamps, as indices (n, K); every row
-    ranks as `spectrum` ranks it."""
-    return _ranking(_amplitudes(times, rows, periods), periods)
+def _amplitudes(series: ResidualSeries, periods) -> np.ndarray:
+    return np.abs(fourier_coefficients(
+        series.times, (series.values - series.mean)[None], periods)[0])
 
 
 def amplitude(series: ResidualSeries, period: float) -> float:
     """Spectral amplitude of one candidate period."""
     if not 0 < period < np.inf:
         raise ValueError("period must be positive and finite")
-    return float(_phase_sums(series, [period])[0])
+    return float(_amplitudes(series, [period])[0])
 
 
 def spectrum(series: ResidualSeries, candidates) -> SpectrumResult:
     """Amplitudes of every candidate, sorted by descending amplitude.
 
-    Ties prefer the longer period (see `_ranking`).
+    Amplitudes that agree to about `TIE_RTOL` tie and prefer the longer
+    period (see `_ranking`).
     """
     candidates = _checked(candidates)
-    amps = _phase_sums(series, candidates)
+    amps = _amplitudes(series, candidates)
     order = _ranking(amps, candidates)
     return SpectrumResult(tuple((candidates[i], float(amps[i])) for i in order))
 
@@ -193,7 +192,7 @@ def prominent_period(series: ResidualSeries, candidates, exclude=()) -> float:
     candidates = _checked(candidates)
     if all(c in exclude for c in candidates):
         raise ValueError("all candidate periods are excluded")
-    amps = _phase_sums(series, candidates)
+    amps = _amplitudes(series, candidates)
     return next(candidates[i] for i in _ranking(amps, candidates)
                 if candidates[i] not in exclude)
 
@@ -204,7 +203,7 @@ def spectral_sum(series: ResidualSeries, candidates) -> float:
     Scales linearly with the residual magnitude, which makes it usable
     as a coarse how-much-structure-is-left score.
     """
-    return float(_phase_sums(series, _checked(candidates)).sum())
+    return float(_amplitudes(series, _checked(candidates)).sum())
 
 
 def _checked(candidates) -> list[float]:

@@ -316,16 +316,19 @@ def slow_baseline(times, row, cfg, candidates, query):
 
 
 def baseline_cell_loop(train, spec, cfg, candidates=None):
-    """Reference: `slow_baseline` per spatial cell, as a loop."""
+    """Reference: `slow_baseline` per spatial cell, as a loop.  Returns
+    the cells' count rows on the training bin centres as (times, rows),
+    their kept periods and their predictions."""
     t0, t1 = float(train.times.min()), float(train.times.max())
     n_bins = int(np.ceil((t1 - t0) / spec.temporal_edge - 1e-12))
     train_spec = GridSpec(spec.spatial_lo, spec.spatial_hi, spec.n_spatial,
                           t0, t0 + n_bins * spec.temporal_edge, n_bins)
     counts = grid_count(train, train_spec).reshape(-1, n_bins)
     centers = train_spec.temporal_centers
-    return counts, np.array(
-        [slow_baseline(centers, row, cfg, candidates,
-                       spec.temporal_centers)[1] for row in counts])
+    fits = [slow_baseline(centers, row, cfg, candidates, spec.temporal_centers)
+            for row in counts]
+    return ((centers, counts), np.array([kept for kept, _ in fits]),
+            np.array([out for _, out in fits]))
 
 
 def sparse_two_week_events():
@@ -347,21 +350,51 @@ def sparse_two_week_events():
 
 def assert_cells_match_loop(train, spec, cfg, candidates=None):
     predicted = per_cell_baseline(train, spec, cfg, candidates)
-    counts, expect = baseline_cell_loop(train, spec, cfg, candidates)
+    (times, counts), kept, expect = baseline_cell_loop(train, spec, cfg,
+                                                       candidates)
     assert not counts[-1].any()  # an all-zero cell
     assert (counts.sum(axis=1) == 1).any()
-    np.testing.assert_array_equal(predicted.reshape(expect.shape), expect)
+    fits = make_baseline((times, counts), cfg, candidates)
+    np.testing.assert_array_equal(fits.periods, kept)
+    if cfg.kind == "fremen":
+        # One product for all cells sums in another order than the
+        # written-out sums of each kept period.
+        np.testing.assert_allclose(predicted.reshape(expect.shape), expect,
+                                   rtol=1e-12, atol=1e-14)
+    else:
+        np.testing.assert_array_equal(predicted.reshape(expect.shape), expect)
 
 
 def test_per_cell_fremen_matches_per_cell_loop():
     train, spec = sparse_two_week_events()
     for candidates in (None, default_candidates(14 * 86400.0, 604800.0, 30)):
         for m in (0, 1, 2, 3):
-            # Same ranking products and coefficient sums as `spectrum`
-            # and the written-out sums.
+            # The same kept periods as `spectrum` ranks them; predictions
+            # as the written-out sums give them.
             assert_cells_match_loop(
                 train, spec, BaselineConfig(kind="fremen", m_components=m),
                 candidates)
+
+
+def test_per_cell_fremen_keeps_the_week_in_one_event_cells():
+    # 672 bins of 1,800 s span two whole weeks, so a cell holding one
+    # event has every candidate amplitude equal to 1/672 up to rounding;
+    # the tie keeps the week and its first two harmonics in every cell.
+    rng = np.random.default_rng(5)
+    day, week, cells = 86400.0, 604800.0, 40
+    t = np.concatenate([[0.0, 14 * day - 1.0],
+                        rng.uniform(0, 14 * day, cells - 2)])
+    train = Dataset(t, (np.arange(cells) + 0.5)[:, None], None)
+    spec = GridSpec([0.0], [float(cells)], (cells,), 14 * day, 15 * day, 48)
+    cfg = BaselineConfig(kind="fremen", m_components=3)
+    (times, counts), _, expect = baseline_cell_loop(
+        train, spec, cfg, [week, week / 2, week / 3])
+    assert counts.shape == (cells, 672) and (counts.sum(axis=1) == 1).all()
+    np.testing.assert_array_equal(make_baseline((times, counts), cfg).periods,
+                                  np.tile([week, week / 2, week / 3],
+                                          (cells, 1)))
+    np.testing.assert_allclose(per_cell_baseline(train, spec, cfg), expect,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_per_cell_hist_matches_per_cell_loop():
@@ -377,7 +410,7 @@ def test_per_cell_mean_matches_per_cell_loop():
 
 
 def test_series_with_repeated_times_matches_reference():
-    # Readings taken three at a time: the ranking sums repeated
+    # Readings taken three at a time: the coefficients sum repeated
     # timestamps first, as `spectrum` does for one series.
     rng = np.random.default_rng(21)
     day = 86400.0
@@ -393,7 +426,8 @@ def test_series_with_repeated_times_matches_reference():
                 t, a, BaselineConfig("fremen", m_components=m), candidates,
                 query)
             np.testing.assert_array_equal(fit.periods, kept)
-            np.testing.assert_array_equal(fit.predict(None, query), expect)
+            np.testing.assert_allclose(fit.predict(None, query), expect,
+                                       rtol=1e-12, atol=1e-14)
     for cfg in (BaselineConfig("mean"), BaselineConfig("hist", n_intervals=5),
                 BaselineConfig("hist", n_intervals=24)):
         _, expect = slow_baseline(t, a, cfg, None, query)

@@ -25,10 +25,12 @@ from hypertime import (
     SpatialStats,
     TrainingWindow,
     build,
+    ResidualSeries,
+    amplitude,
     build_event,
     calibrate_gamma,
+    default_candidates,
     density,
-    event_residual_grid,
     grid_count,
     load_model,
     model_error,
@@ -41,6 +43,7 @@ from hypertime import (
     residuals,
     save_model,
     select_cluster_count,
+    spectrum,
 )
 from conftest import daily_series, pedestrian_events
 
@@ -137,7 +140,7 @@ def marginal_formula_mean(model, coords, times):
     st = model.spatial_stats
     rest_pts = np.hstack([(coords - st.mean) / st.std,
                           project_times(times, model.projection)])
-    idx = model.layout.rest_indices
+    idx = np.arange(1, model.layout.width)  # all but the value
     unscaled = np.zeros(times.shape[0])
     for comp in model.mixture.components:
         s_rr = comp.covariance[np.ix_(idx, idx)]
@@ -571,17 +574,25 @@ def test_event_density_matches_components(event_model):
 
 
 def test_event_residual_grid(event_model, event_data):
+    # The build scans the per-bin sums of the residual grid: their
+    # amplitudes are those of every cell's residual on the bin times,
+    # each bin time once per spatial cell, times the number of cells.
     w = event_model.window
     spec = GridSpec.from_cell_size(w.spatial_lo, w.spatial_hi, w.t_lo,
-                                   w.t_hi, 1.0, 6 * 3600.0, expand=False)
-    series = event_residual_grid(event_model, event_data, spec)
-    predicted = predict_counts(event_model, spec)
-    assert predicted.shape == spec.shape
-    np.testing.assert_allclose(
-        series.values,
-        (predicted - grid_count(event_data, spec)).reshape(-1), atol=1e-12)
-    assert series.times.shape == (spec.n_cells,)
-    assert set(np.unique(series.times)).issubset(set(spec.temporal_centers))
+                                   w.t_hi, 1.0, 1800.0, expand=False)
+    eps = predict_counts(event_model, spec) - grid_count(event_data, spec)
+    assert eps.shape == spec.shape
+    cells = int(np.prod(spec.n_spatial))
+    tiled = ResidualSeries(np.tile(spec.temporal_centers, cells),
+                           eps.reshape(-1))
+    sums = ResidualSeries(spec.temporal_centers,
+                          eps.reshape(cells, -1).sum(axis=0))
+    cand = default_candidates(w.t_hi - w.t_lo)
+    scaled = cells * np.array([amplitude(tiled, p) for p in cand])
+    direct = np.array([amplitude(sums, p) for p in cand])
+    np.testing.assert_allclose(scaled, direct, rtol=1e-12,
+                               atol=1e-12 * direct.max())
+    assert spectrum(tiled, cand).periods == spectrum(sums, cand).periods
 
 
 def test_build_event_zero_width_extent():
@@ -613,8 +624,8 @@ def test_build_event_zero_width_extent():
     assert total == pytest.approx(len(flat), rel=1e-12)
     assert abs(predict_counts(model, grid(0.25, 2)).sum() - len(flat)) > 10
     # the training error is the residual RMS on the widened, unrefined grid
-    series = event_residual_grid(model, flat, grid(0.5, 1))
-    rms = float(np.sqrt(np.mean(series.values ** 2)))
+    eps = predict_counts(model, grid(0.5, 1)) - grid_count(flat, grid(0.5, 1))
+    rms = float(np.sqrt(np.mean(eps ** 2)))
     assert model.training_error == pytest.approx(rms, rel=1e-12)
 
 

@@ -88,7 +88,6 @@ def test_layout_indices_valued():
     assert lay.value_index == 0
     np.testing.assert_array_equal(lay.spatial_indices, [1, 2])
     assert lay.temporal_pairs == [(3, 4), (5, 6)]
-    np.testing.assert_array_equal(lay.rest_indices, [1, 2, 3, 4, 5, 6])
 
 
 def test_layout_indices_event():
@@ -97,7 +96,6 @@ def test_layout_indices_event():
     assert lay.value_index is None
     np.testing.assert_array_equal(lay.spatial_indices, [0, 1])
     assert lay.temporal_pairs == [(2, 3)]
-    np.testing.assert_array_equal(lay.rest_indices, [0, 1, 2, 3])
 
 
 def test_layout_extension():

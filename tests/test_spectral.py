@@ -15,8 +15,7 @@ from hypertime import (
     spectral_sum,
     spectrum,
 )
-from hypertime import spectral
-from hypertime.spectral import ranked_candidates
+from hypertime.spectral import TIE_RTOL, _ranking, fourier_coefficients
 
 
 def brute_amplitude(times, values, period):
@@ -159,7 +158,7 @@ def test_grouped_spectrum_matches_brute_force_on_repeated_times():
 
 
 def test_grouped_spectrum_on_tiled_event_residual_layout():
-    # event_residual_grid repeats the bin centres once per spatial cell
+    # An event residual grid holds the bin centres once per spatial cell
     rng = np.random.default_rng(5)
     centres = (np.arange(96) + 0.5) * 3600.0
     cells = 20
@@ -182,35 +181,31 @@ def test_grouped_spectrum_on_tiled_event_residual_layout():
         exclude.add(kept[best])
 
 
-def direct_amplitudes(times, values, periods):
-    """The phase sums from a fresh cos/sin table, with the products and the
-    grouping of repeated timestamps that `spectrum` makes."""
-    times, values = np.asarray(times, float), np.asarray(values, float)
-    centered = values - values.mean()
+def fresh_coefficients(times, rows, periods):
+    """`fourier_coefficients` written out over a fresh cos/sin table: the
+    grouping of repeated timestamps and the one product."""
+    times, rows = np.asarray(times, float), np.asarray(rows, float)
+    length = times.size
     distinct, inverse = np.unique(times, return_inverse=True)
-    if distinct.size < times.size:
+    if distinct.size < length:
         times = distinct
-        centered = np.bincount(inverse, weights=centered,
-                               minlength=distinct.size)
+        rows = np.array([np.bincount(inverse, weights=row,
+                                     minlength=distinct.size)
+                         for row in rows])
     phases = (2.0 * np.pi) * np.outer(times, 1.0 / np.asarray(periods, float))
-    re, im = centered @ np.cos(phases), centered @ np.sin(phases)
-    return np.hypot(re, im) / len(values)
+    return (rows @ np.cos(phases) - 1j * (rows @ np.sin(phases))) / length
 
 
-def direct_ranking(times, rows, periods):
-    """`ranked_candidates` from a fresh cos/sin table, row by row."""
-    periods = np.asarray(periods, float)
-    phases = (2.0 * np.pi) * np.outer(times, 1.0 / periods)
-    cos, sin = np.cos(phases), np.sin(phases)
-    amps = np.array([np.hypot(row @ cos, row @ sin) for row in rows])
-    amps /= len(times)
-    return np.lexsort((-np.broadcast_to(periods, amps.shape), -amps), axis=-1)
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def assert_direct(times, values, cand):
     s = ResidualSeries(times, values)
-    amps = direct_amplitudes(times, values, cand)
-    order = np.lexsort((-np.asarray(cand), -amps))
+    centered = (np.asarray(values, float) - s.mean)[None]
+    amps = np.abs(fresh_coefficients(times, centered, cand)[0])
+    order = _ranking(amps, cand)
     assert spectrum(s, cand).entries == tuple(
         (float(cand[i]), float(amps[i])) for i in order)
     assert spectral_sum(s, cand) == float(amps.sum())
@@ -231,35 +226,11 @@ def test_phase_table_reuse_is_bit_exact_on_hits_and_misses():
         assert_direct(times, rng.normal(0, 1, times.size), c)
     rows = rng.poisson(0.5, (6, t.size)).astype(float)
     rows -= rows.mean(axis=1, keepdims=True)
-    for times, c in ((t, cand), (t, cand), (t2, cand), (t, other)):
-        np.testing.assert_array_equal(ranked_candidates(times, rows, c),
-                                      direct_ranking(times, rows, c))
+    for times, c in ((t, cand), (t, cand), (t2, cand), (t, other),
+                     (repeated, cand)):
+        assert_same_bits(fourier_coefficients(times, rows, c),
+                         fresh_coefficients(times, rows, c))
         assert_direct(times, rows[0], c)
-
-
-def test_held_sort_of_a_tiled_series_is_bit_exact():
-    # An event residual layout: 336 bin times once per each of 40 cells.
-    # The second scan reuses the held sort of the 13,440 timestamps, as a
-    # later build step's scan of other residuals on them does; a third,
-    # after both held results are dropped, sorts and builds afresh.
-    rng = np.random.default_rng(17)
-    t = np.tile((np.arange(336) + 0.5) * 1800.0, 40)
-    s = ResidualSeries(t, rng.poisson(0.4, t.size) - 0.4)
-    cand = default_candidates(7 * DAY_SECONDS, WEEK_SECONDS, 168)
-    first = spectrum(s, cand)
-    held = spectral._held["sort"]
-    assert held[1][0].size == 336
-    second = spectrum(s, cand)
-    assert spectral._held["sort"] is held
-    spectral._held.clear()
-    third = spectrum(s, cand)
-    assert spectral._held["sort"] is not held
-    bits = [np.array(r.amplitudes).view(np.uint64)
-            for r in (first, second, third)]
-    assert first.periods == second.periods == third.periods
-    assert np.array_equal(bits[0], bits[1])
-    assert np.array_equal(bits[0], bits[2])
-    assert_direct(t, rng.normal(0, 1, t.size), cand)
 
 
 def test_call_bits_do_not_depend_on_earlier_calls():
@@ -269,7 +240,7 @@ def test_call_bits_do_not_depend_on_earlier_calls():
     first = spectrum(s, cand), spectral_sum(s, cand), amplitude(s, 3600.0)
     spectrum(random_series(rng, 120), cand)
     spectrum(s, cand[:20])
-    ranked_candidates(s.times, np.ones((2, len(s))), cand)
+    fourier_coefficients(s.times, np.ones((2, len(s))), cand)
     assert (spectrum(s, cand), spectral_sum(s, cand),
             amplitude(s, 3600.0)) == first
 
@@ -285,13 +256,39 @@ def test_caller_mutation_never_yields_a_stale_table():
     assert s.times is t  # the series shares the caller's array
     t[::2] += 900.0
     assert_direct(t, v, cand)
-    ranked_candidates(t, rows, cand)
+    fourier_coefficients(t, rows, cand)
     cand[3] *= 1.5
-    np.testing.assert_array_equal(ranked_candidates(t, rows, cand),
-                                  direct_ranking(t, rows, cand))
+    assert_same_bits(fourier_coefficients(t, rows, cand),
+                     fresh_coefficients(t, rows, cand))
     t[5] += 60.0
-    np.testing.assert_array_equal(ranked_candidates(t, rows, cand),
-                                  direct_ranking(t, rows, cand))
+    assert_same_bits(fourier_coefficients(t, rows, cand),
+                     fresh_coefficients(t, rows, cand))
+
+
+def test_ranking_ties_amplitudes_within_tie_rtol_to_the_longer_period():
+    # Amplitudes a fraction of TIE_RTOL apart, around a level in the
+    # middle of one step of the tie, rank longest first.
+    base = np.exp(0.5 * TIE_RTOL - 3.0)
+    amps = base * np.array([1.0, 1.0 + 0.3 * TIE_RTOL, 1.0 - 0.3 * TIE_RTOL,
+                            1.0 + 1e-15])
+    assert list(_ranking(amps, [3600.0, 7200.0, 1800.0, DAY_SECONDS])) \
+        == [3, 1, 0, 2]
+    # A one-event cell over two whole weeks: 1/672 up to rounding.
+    amps = np.array([0.0014880952380952443, 0.0014880952380952417,
+                     1 / 672])
+    periods = [WEEK_SECONDS / 3, WEEK_SECONDS, WEEK_SECONDS / 2]
+    assert list(_ranking(amps, periods)) == [1, 2, 0]
+
+
+def test_ranking_orders_amplitudes_further_apart_by_amplitude():
+    amps = np.array([1.0, 1.0 + 10 * TIE_RTOL, 0.5, 2.0])
+    assert list(_ranking(amps, [400.0, 100.0, 300.0, 50.0])) == [3, 1, 0, 2]
+
+
+def test_ranking_of_an_all_zero_row_is_longest_first():
+    amps = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+    np.testing.assert_array_equal(_ranking(amps, [60.0, 3600.0, 600.0]),
+                                  [[1, 2, 0], [2, 0, 1]])
 
 
 def subset_prominent_period(series, candidates, exclude=()):
