@@ -49,6 +49,9 @@ _DEFAULTS = {
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"input", "test", "model", "out_dir", "force"}
 
+# Rows of `predict` output formatted and written at a time.
+_PREDICT_BLOCK = 8192
+
 
 class CliError(Exception):
     pass
@@ -254,9 +257,11 @@ def cmd_predict(args, config) -> int:
                 density(model, x=coords, t=queries.times))
     header = ["t"] + [f"x{d + 1}" for d in range(queries.spatial_dim)]
     columns = [queries.times, *queries.coords.T, preds]
-    lines = [",".join(header + ["prediction"])]
-    lines += map(",".join, zip(*map(_fmt_all, columns)))
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(",".join(header + ["prediction"]) + "\n")
+    # Only one block's strings are alive at a time.
+    for r0 in range(0, len(preds), _PREDICT_BLOCK):
+        fields = [_fmt_all(c[r0:r0 + _PREDICT_BLOCK]) for c in columns]
+        sys.stdout.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
 
@@ -388,12 +393,7 @@ def _evaluate_event(args, config, train, folds):
     }
     per_fold = {name: [] for name in methods}
     heatmaps = []
-    edge_pairs = [(spatial_edge, temporal_edge)]
-    if None not in (_resolve(args, config, "spatial_edges"),
-                    _resolve(args, config, "temporal_edges")):
-        edge_pairs = list(itertools.product(
-            _resolve_list(args, config, "spatial_edges", float),
-            _resolve_list(args, config, "temporal_edges", float)))
+    edge_pairs = _edge_pairs(args, config)
     for fi, fold in enumerate(folds):
         span = float(fold.times.min()), float(fold.times.max())
         grids = {}  # (spec, observed, HyT counts) per edge pair
@@ -421,6 +421,21 @@ def _evaluate_event(args, config, train, folds):
     return per_fold, parameters, heatmaps
 
 
+def _edge_pairs(args, config):
+    """The (spatial, temporal) cell edges of the event heatmaps."""
+    if None in (_resolve(args, config, "spatial_edges"),
+                _resolve(args, config, "temporal_edges")):
+        return [(_resolve(args, config, "grid_spatial", float),
+                 _resolve(args, config, "grid_temporal", float))]
+    return list(itertools.product(
+        _resolve_list(args, config, "spatial_edges", float),
+        _resolve_list(args, config, "temporal_edges", float)))
+
+
+def _heatmap_name(fold, spatial_edge, temporal_edge):
+    return f"heatmap_fold{fold}_s{spatial_edge:g}_t{temporal_edge:g}.dat"
+
+
 def _heatmap_blocks(spec, obs, pred):
     """The text of one heatmap file, one spatial cell's lines at a time;
     cells run in C order like obs/pred."""
@@ -443,8 +458,7 @@ def _heatmap_blocks(spec, obs, pred):
 
 def _dump_heatmaps(heatmaps, out_dir, force):
     for fi, se, te, spec, obs, pred in heatmaps:
-        name = f"heatmap_fold{fi}_s{se:g}_t{te:g}.dat"
-        path = os.path.join(out_dir, name)
+        path = os.path.join(out_dir, _heatmap_name(fi, se, te))
         _write_text(path, _heatmap_blocks(spec, obs, pred), force)
 
 
@@ -453,8 +467,8 @@ def cmd_evaluate(args, config) -> int:
     train = _load(args.input, schema)
     wanted = _resolve(args, config, "mode")
     _check_mode(train, wanted, args.input)
-    test_paths = args.test or (
-        config["test"].split(",") if "test" in config else [])
+    test_paths = args.test or [
+        p.strip() for p in config.get("test", "").split(",") if p.strip()]
     if not test_paths:
         raise CliError("evaluate needs at least one --test fold")
     folds = []
@@ -476,6 +490,13 @@ def cmd_evaluate(args, config) -> int:
     errors_path = os.path.join(out_dir, "errors.csv")
     report_path = os.path.join(out_dir, "ttests.json")
     planned = [errors_path] + ([report_path] if run_ttests else [])
+    if train.mode == EVENT:
+        planned += [os.path.join(out_dir, _heatmap_name(fi, se, te))
+                    for fi in range(len(folds))
+                    for se, te in _edge_pairs(args, config)]
+    if len(set(planned)) < len(planned):
+        raise CliError("spatial_edges and temporal_edges name one heatmap "
+                       "file twice")
     for path in planned:
         if os.path.exists(path) and not force:
             raise CliError(f"{path} exists; pass --force to overwrite")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sstats
 
 from .baselines import BaselineConfig, make_baseline
 from .dataset import Dataset
@@ -201,8 +200,12 @@ def pairwise_ttests(per_fold_errors: dict, alpha: float = 0.05) -> ComparisonRep
     A dominance edge A -> B is recorded when A's mean error is lower and
     the paired difference is significant at `alpha`.  A pair whose
     differences have zero variance is flagged degenerate and never forms
-    an edge.
+    an edge.  The p-values are `scipy.stats.t.sf`'s, from the
+    `scipy.special` routine it calls: scipy is loaded here, on first
+    use, so commands that run no t-test never import it.
     """
+    from scipy.special import stdtr
+
     methods = list(per_fold_errors)
     if len(methods) < 2:
         raise ValueError("need at least two methods")
@@ -226,7 +229,7 @@ def pairwise_ttests(per_fold_errors: dict, alpha: float = 0.05) -> ComparisonRep
                 matrix[(a, b)] = PairResult(0.0, 1.0, False, degenerate=True)
                 continue
             t = float(d.mean() / (sd / np.sqrt(f)))
-            p = float(2.0 * _sstats.t.sf(abs(t), f - 1))
+            p = float(2.0 * stdtr(f - 1, -abs(t)))
             significant = p < alpha
             matrix[(a, b)] = PairResult(t, p, significant)
             if significant and mean_errors[a] < mean_errors[b]:

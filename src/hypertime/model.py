@@ -215,18 +215,22 @@ def model_error(model: HypertimeModel, data: Dataset) -> float:
 
 
 def _calibrate_valued(model: HypertimeModel, train: Dataset):
+    """(gamma, fallback, residuals): the residual values are
+    `residuals(model, train).values` at the returned gamma."""
     rest = _rest_points(model, train.coords, train.times)
     unscaled, _ = model.mixture.core.value_terms(rest)
     denom = float(unscaled.sum())
     num = float(train.values.sum())
     if num == 0.0 and not np.any(train.values):
         warnings.warn("all training values are zero; gamma fixed to 1")
-        return 1.0, True
-    gamma = num / denom if denom != 0.0 else np.inf
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        warnings.warn("degenerate calibration ratio; gamma fixed to 1")
-        return 1.0, True
-    return gamma, False
+        gamma, fallback = 1.0, True
+    else:
+        gamma = num / denom if denom != 0.0 else np.inf
+        fallback = not np.isfinite(gamma) or gamma <= 0.0
+        if fallback:
+            warnings.warn("degenerate calibration ratio; gamma fixed to 1")
+            gamma = 1.0
+    return gamma, fallback, gamma * unscaled - train.values
 
 
 def training_grid(window: TrainingWindow, t_lo: float, t_hi: float,
@@ -438,9 +442,9 @@ def _run_build(train: Dataset, cfg: BuildConfig,
         cand = HypertimeModel(mixture, proj, layout, 1.0, False, stats,
                               mode, window)
         if mode == VALUED:
-            cand.gamma, cand.gamma_fallback = _calibrate_valued(cand, train)
-            series = residuals(cand, train)
-            eps = series.values
+            cand.gamma, cand.gamma_fallback, eps = _calibrate_valued(cand,
+                                                                     train)
+            series = ResidualSeries(train.times, eps)
         else:
             cand.gamma, cand.gamma_fallback = _calibrate_event(
                 cand, len(train), cfg)
@@ -528,8 +532,8 @@ def select_cluster_count(train: Dataset,
         mixture = km_fit(vectors, layout, fitcfg)
         model = HypertimeModel(mixture, HypertimeProjection(), layout, 1.0,
                                False, stats, VALUED, window)
-        model.gamma, model.gamma_fallback = _calibrate_valued(model, train)
-        return spectral_sum(residuals(model, train), candidates)
+        eps = _calibrate_valued(model, train)[2]
+        return spectral_sum(ResidualSeries(train.times, eps), candidates)
 
     pairs = [(1, score(1))]
     chosen = 1

@@ -8,13 +8,16 @@ the suite fast; statistical quality is covered elsewhere.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hypertime
 from hypertime import (Dataset, GridSpec, density, load_model,
                        predict_cell_count, predict_mean)
-from hypertime.cli import _dump_heatmaps, _fmt, main
+from hypertime.cli import _PREDICT_BLOCK, _dump_heatmaps, _fmt, main
 from conftest import daily_series, pedestrian_events
 
 DAY = 86400.0
@@ -337,6 +340,41 @@ def test_predict_gridded_rows_equal_one_batch_call(workdir,
     np.testing.assert_allclose(batch, loop, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [1, _PREDICT_BLOCK - 1, _PREDICT_BLOCK,
+                               _PREDICT_BLOCK + 1, 2 * _PREDICT_BLOCK + 1])
+def test_predict_blocks_write_the_one_string_output(
+        n, workdir, trained_model, trained_event_model, tmp_path, capsys):
+    # Rows are written `_PREDICT_BLOCK` at a time; the bytes are those of
+    # one string holding every row, for valued, density and cell queries.
+    rng = np.random.default_rng(n)
+    ts = np.sort(rng.uniform(0.0, 3 * DAY, n))
+    xs = rng.uniform(0.0, 8.0, (n, 2))
+    vq, eq = tmp_path / "v.csv", tmp_path / "e.csv"
+    vq.write_text("t\n" + "".join(f"{t!r}\n" for t in ts.tolist()),
+                  encoding="utf-8")
+    eq.write_text("t,x1,x2\n" + "".join(
+        f"{t!r},{a!r},{b!r}\n" for t, (a, b) in zip(ts.tolist(), xs.tolist())),
+        encoding="utf-8")
+    event = load_model(trained_event_model)
+    cells = predict_cell_count(event, np.stack([xs - 0.25, xs + 0.25], axis=2),
+                               np.column_stack([ts - 900.0, ts + 900.0]))
+    runs = [
+        (["--model", str(trained_model), "--input", str(vq)],
+         np.column_stack([ts, predict_mean(load_model(trained_model), None,
+                                           ts)])),
+        (["--model", str(trained_event_model), "--input", str(eq)],
+         np.column_stack([ts, xs, density(event, x=xs, t=ts)])),
+        (["--model", str(trained_event_model), "--input", str(eq),
+          "--grid-spatial", "0.5", "--grid-temporal", "1800"],
+         np.column_stack([ts, xs, cells])),
+    ]
+    for flags, table in runs:
+        assert main(["predict", *flags]) == 0
+        header = ["t", "x1", "x2"][:table.shape[1] - 1] + ["prediction"]
+        lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_predict_over_long_field_fails_cleanly(workdir, trained_model,
                                               tmp_path, capsys):
     queries = tmp_path / "long.csv"
@@ -466,6 +504,52 @@ def test_evaluate_refuses_overwrite(workdir, eval_config, tmp_path, capsys):
     rc = run_evaluate(workdir, eval_config, out)
     assert rc == 1
     assert "exists" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_an_existing_heatmap_before_any_work(
+        workdir, eval_config, tmp_path, capsys):
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "heatmap_fold1_s1_t21600.dat").write_text("kept\n")
+    rc = main(["evaluate", "--input", str(workdir / "events.csv"),
+               "--test", str(workdir / "efold1.csv"),
+               "--test", str(workdir / "efold2.csv"),
+               "--config", str(eval_config),
+               "--clusters", "2", "--max-h", "0",
+               "--grid-spatial", "1.0", "--grid-temporal", "21600",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert "heatmap_fold1_s1_t21600.dat exists" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["heatmap_fold1_s1_t21600.dat"]
+    assert (out / "heatmap_fold1_s1_t21600.dat").read_text() == "kept\n"
+    # Edge lists that name one file twice are refused up front too.
+    config = tmp_path / "twice.cfg"
+    config.write_text(eval_config.read_text() + "spatial_edges = 1.0,1\n"
+                      "temporal_edges = 21600\n", encoding="utf-8")
+    fresh = tmp_path / "fresh"
+    rc = main(["evaluate", "--input", str(workdir / "events.csv"),
+               "--test", str(workdir / "efold1.csv"),
+               "--test", str(workdir / "efold2.csv"),
+               "--config", str(config), "--clusters", "2", "--max-h", "0",
+               "--out-dir", str(fresh)])
+    assert rc == 1
+    assert "twice" in capsys.readouterr().err
+    assert list(fresh.iterdir()) == []
+
+
+def test_evaluate_reads_test_folds_from_config(workdir, eval_config, tmp_path,
+                                               capsys):
+    config = tmp_path / "folds.cfg"
+    config.write_text(eval_config.read_text() + f"test = {workdir / 'fold1.csv'}"
+                      f", {workdir / 'fold2.csv'} ,\n", encoding="utf-8")
+    out = tmp_path / "report"
+    rc = main(["evaluate", "--input", str(workdir / "train.csv"),
+               "--config", str(config), "--clusters", "1", "--max-h", "1",
+               "--out-dir", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    lines = (out / "errors.csv").read_text().splitlines()
+    assert {ln.split(",")[1] for ln in lines[1:]} == {"0", "1"}
+    assert (out / "ttests.json").exists()
 
 
 def test_evaluate_single_fold_skips_ttests(workdir, eval_config, tmp_path,
@@ -609,3 +693,48 @@ def test_evaluate_rejects_clamp_for_event_data(workdir, eval_config, tmp_path,
         assert rc == 1
         assert "--clamp" in capsys.readouterr().err
         assert not (out / "errors.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from hypertime.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    loaded[name] = scipy_modules() if rc == 0 else f"exit {rc}"
+print(json.dumps(loaded))
+"""
+
+
+def test_only_evaluate_t_tests_load_scipy(workdir, eval_config, tmp_path):
+    model = tmp_path / "model.json"
+    data = str(workdir / "train.csv")
+    runs = [
+        ("train", ["train", "--input", data, "--clusters", "1",
+                   "--max-h", "1", "--model", str(model)]),
+        ("predict", ["predict", "--model", str(model), "--input", data]),
+        ("spectrum", ["spectrum", "--input", data]),
+        ("evaluate", ["evaluate", "--input", data,
+                      "--test", str(workdir / "fold1.csv"),
+                      "--test", str(workdir / "fold2.csv"),
+                      "--config", str(eval_config), "--clusters", "1",
+                      "--max-h", "1", "--out-dir", str(tmp_path / "out")]),
+    ]
+    src = os.path.dirname(os.path.dirname(hypertime.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
+        capture_output=True, text=True, timeout=300, check=True)
+    loaded = json.loads(done.stdout)
+    for name in ("import", "train", "predict", "spectrum"):
+        assert loaded[name] == [], name
+    assert "scipy.special" in loaded["evaluate"]
+    assert not [m for m in loaded["evaluate"] if m.startswith("scipy.stats")]

@@ -147,6 +147,19 @@ def test_pairwise_ttests_hand_check():
     assert ("B", "A") not in report.edges
 
 
+def test_pairwise_ttests_p_values_are_scipy_stats_bit_for_bit():
+    # The p-values come from scipy.special without loading scipy.stats;
+    # they must be exactly those of the t distribution's survival function.
+    rng = np.random.default_rng(3)
+    for f in (2, 3, 5, 12, 40):
+        errors = {m: rng.uniform(0.5, 2.0, f) * scale
+                  for m, scale in zip("ABCD", (1.0, 1.0, 1.5, 1e-9))}
+        errors["E"] = errors["A"] + 1e-12 * rng.normal(size=f)
+        report = pairwise_ttests(errors)
+        for pair in report.matrix.values():
+            assert pair.p == 2.0 * stats.t.sf(abs(pair.t), f - 1)
+
+
 def test_pairwise_ttests_degenerate_zero_variance():
     report = pairwise_ttests({"A": [1.0, 1.0, 1.0], "B": [1.0, 1.0, 1.0]})
     pair = report.matrix[("A", "B")]
