@@ -223,17 +223,21 @@ class MixtureCore:
         """Per row of `rest_pts`: ``(sum_j w_j q_j c_j, sum_j w_j q_j)``,
         where q_j is component j's marginal density over the rest
         dimensions and c_j the conditional mean of the value given them."""
-        unscaled, mass = [], []
-        for cols in _blocks(_columns(rest_pts), len(self.log_weights)):
-            diff = cols[None] - self.means[:, 1:, None]
+        cols = _columns(rest_pts)
+        # Made before the blocks' temporaries: no join copy, less peak RSS.
+        unscaled, mass = np.empty((2, cols.shape[1]))
+        j = 0
+        for block in _blocks(cols, len(self.log_weights)):
+            i, j = j, j + block.shape[1]
+            diff = block[None] - self.means[:, 1:, None]
             # Unshifted: a max shift cannot stop these sums underflowing.
             wq = _log_joint(diff, self.log_weights, self.rest_inv_chol,
                             self.rest_norms)
             wq = np.exp(wq, out=wq)
             c = self.means[:, :1] + (self.betas[:, None] @ diff)[:, 0]
-            unscaled.append((wq * c).sum(axis=0))
-            mass.append(wq.sum(axis=0))
-        return np.concatenate(unscaled), np.concatenate(mass)
+            (wq * c).sum(axis=0, out=unscaled[i:j])
+            wq.sum(axis=0, out=mass[i:j])
+        return unscaled, mass
 
 
 @dataclass
@@ -285,9 +289,9 @@ class MixtureModel:
         return self._core
 
     def logpdf(self, points) -> np.ndarray:
-        core = self.core
-        return np.concatenate([_logsumexp(core.log_joint(cols)) for cols
-                               in _blocks(_columns(points), self.n)])
+        logs = [_logsumexp(self.core.log_joint(cols))
+                for cols in _blocks(_columns(points), self.n)]
+        return logs[0] if len(logs) == 1 else np.concatenate(logs)
 
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.logpdf(points))
@@ -303,25 +307,13 @@ class MixtureModel:
         ``(z, W + u)``, with ``(z, W) = M[:, :s] (x - mu_s)`` once per
         point and ``u = M_tt (h - mu_t)`` once per time, and the quadratic
         form ``|z|^2 + |W|^2 + |u|^2 + 2 W.u`` of all pairs takes one
-        batched matrix product.  A box of one point or one time shares
-        nothing, so its pairs go through `pdf` as rows.  The expansion
-        rounds to about eps * (|W|^2 + |u|^2) in the log density, so a
-        component tight in time loses digits: 1e-14 relative on fitted
-        event models, 8e-14 with every temporal variance shrunk 100-fold.
+        batched matrix product.  The expansion rounds to about eps *
+        (|W|^2 + |u|^2) in the log density, so a component tight in time
+        loses digits: 1e-14 relative on fitted event models, 8e-14 with
+        every temporal variance shrunk 100-fold.
         """
         n_box, n_pts, s = spatial.shape
         n_t = temporal.shape[1]
-        if n_pts == 1 or n_t == 1:
-            rows = np.empty((n_box, n_pts, n_t, self.layout.width))
-            rows[..., :s] = spatial[:, :, None]
-            rows[..., s:] = temporal[:, None]
-
-            def pdf(times):
-                pts = rows[:, :, times]
-                b, p, t, w = pts.shape
-                flat = pts.reshape(b * p * t, w)
-                return self.pdf(flat).reshape(pts.shape[:3])
-            return pdf
         core, k = self.core, self.n
         zw = core.inv_chol[:, :, :s] @ (
             _columns(spatial.reshape(-1, s))[None] - core.means[:, :s, None])

@@ -15,17 +15,16 @@ equals the mean observed reading exactly.  Event models instead
 calibrate gamma so the predicted count over the training volume equals
 the number of training events.
 
-Event grids and batches of cells are evaluated by one function: each
-box (a whole grid, or one queried cell) is its spatial midpoints times
-its temporal midpoints, and `MixtureModel.product_pdf` whitens with
-the cached inverse Cholesky factors once per spatial point and once per
-time, then gets every pair's quadratic form from one matrix product.  A
-cell's density is the mean over its midpoints.  A collapsed spatial
-axis that leaves the calibration grid without mass is an error.
+A queried cell of one midpoint per axis is one row: its count is the
+density at its centre times its volume.  Grids and finer cells are boxes
+of spatial times temporal midpoints for `MixtureModel.product_pdf`, and a
+cell's density is the mean over its midpoints.  A collapsed spatial axis
+that leaves the calibration grid without mass is an error.
 """
 
 import json
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -46,8 +45,8 @@ MODEL_VERSION = 1
 # Event gamma integrates the density on cells this many times finer, per
 # axis, than the configured event grid.
 _CALIBRATION_REFINE = 2
-# Most (point, time) pairs evaluated at once on an event grid.
-_CHUNK = 500_000
+# Most (point, time) pairs evaluated at once on an event grid (a few MB).
+_CHUNK = 65_536
 
 
 @dataclass
@@ -133,29 +132,36 @@ class HypertimeModel:
 
 
 def _as_queries(model: HypertimeModel, x, t):
-    times = np.atleast_1d(_finite(t, "query time t"))
-    n = times.shape[0]
+    """(coords (n, d), times (n,), single): `single` if t is a scalar."""
+    times = _finite(t, "query time t")
+    if times.ndim > 1:
+        raise ValueError("query time t must be a scalar or 1-D, got shape "
+                         f"{times.shape}")
+    single, times = times.ndim == 0, times.reshape(-1)
     d = model.layout.spatial_dim
     if d == 0:
-        return np.empty((n, 0)), times
+        return None, times, single
     if x is None:
         raise ValueError("model has spatial dimensions; x is required")
     coords = _finite(x, "query coordinate x")
-    if np.ndim(t) == 0:
+    if single:
         if coords.size != d:
             raise ValueError(f"expected {d} spatial coordinates")
         coords = coords.reshape(1, d)
     else:
         if coords.ndim == 1 and d == 1:
             coords = coords.reshape(-1, 1)
-        if coords.shape != (n, d):
+        if coords.shape != (times.size, d):
             raise ValueError("coordinate array does not match query times")
-    return coords, times
+    return coords, times, single
 
 
 def _rest_points(model: HypertimeModel, coords, times) -> np.ndarray:
+    rest = project_times(times, model.projection)
+    if not model.layout.spatial_dim:
+        return rest
     std = (coords - model.spatial_stats.mean) / model.spatial_stats.std
-    return np.hstack([std, project_times(times, model.projection)])
+    return np.concatenate((std, rest), axis=1)
 
 
 def _require_mode(model: HypertimeModel, mode: str):
@@ -168,30 +174,29 @@ def density(model: HypertimeModel, a=None, x=None, t=0.0):
 
     Valued models take (a, x, t); event models take (x, t) only.
     """
-    coords, times = _as_queries(model, x, t)
+    coords, times, single = _as_queries(model, x, t)
+    pts = _rest_points(model, coords, times)
     if model.mode == VALUED:
         if a is None:
             raise ValueError("valued models require the value a")
         av = np.atleast_1d(_finite(a, "query value a"))
         if av.shape != times.shape:
             raise ValueError("a does not match the query times")
+        pts = np.hstack([av.reshape(-1, 1), pts])
     elif a is not None:
         raise ValueError("event models take no value argument")
-    pts = _rest_points(model, coords, times)
-    if model.mode == VALUED:
-        pts = np.hstack([av.reshape(-1, 1), pts])
     out = model.gamma * model.mixture.pdf(pts)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return float(out[0]) if single else out
 
 
 def predict_mean(model: HypertimeModel, x, t):
     """Expected reading at (x, t): gamma * sum_j w_j q_j(x,t) c_j(x,t)."""
     _require_mode(model, VALUED)
-    coords, times = _as_queries(model, x, t)
-    rest = _rest_points(model, coords, times)
-    unscaled, _ = model.mixture.core.value_terms(rest)
+    coords, times, single = _as_queries(model, x, t)
+    unscaled, _ = model.mixture.core.value_terms(
+        _rest_points(model, coords, times))
     out = model.gamma * unscaled
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return float(out[0]) if single else out
 
 
 def residuals(model: HypertimeModel, data: Dataset) -> ResidualSeries:
@@ -199,8 +204,7 @@ def residuals(model: HypertimeModel, data: Dataset) -> ResidualSeries:
     _require_mode(model, VALUED)
     if data.mode != VALUED:
         raise ValueError("residuals need valued data")
-    coords = data.coords if data.spatial_dim else None
-    preds = np.atleast_1d(predict_mean(model, coords, data.times))
+    preds = np.atleast_1d(predict_mean(model, data.coords, data.times))
     return ResidualSeries(data.times.copy(), preds - data.values)
 
 
@@ -295,21 +299,17 @@ def calibrate_gamma(model: HypertimeModel, train: Dataset,
 
 
 def _cell_means(model: HypertimeModel, lo, hi, t0, t1, n_spatial,
-                n_temporal: int, subsample: int) -> np.ndarray:
+                n_temporal: int, s: int) -> np.ndarray:
     """Mean (unscaled) mixture density per cell of B boxes, each box
     ``[lo[b], hi[b]) x [t0[b], t1[b])`` cut into `n_spatial` x
     `n_temporal` cells (shape ``(B, *n_spatial, n_temporal)``).
 
-    A cell averages the density over `subsample` midpoints per axis.  A
-    grid is one box, a batch of cells one box per cell; either way the
-    densities come from `MixtureModel.product_pdf` over a box's spatial
-    times its temporal midpoints, in chunks of whole temporal cells of at
-    most `_CHUNK` (point, time) pairs.
+    A cell averages the density over `s` midpoints per axis.  A grid is
+    one box, a batch of cells one box per cell; `_box_pdf` gives a box's
+    densities in chunks of whole temporal cells of at most `_CHUNK`
+    (point, time) pairs.
     """
     _require_mode(model, EVENT)
-    s = int(subsample)
-    if s < 1:
-        raise ValueError("subsample must be >= 1")
     n_box, d = lo.shape
     if d != model.layout.spatial_dim:
         raise ValueError("grid dimensionality does not match model")
@@ -320,16 +320,13 @@ def _cell_means(model: HypertimeModel, lo, hi, t0, t1, n_spatial,
     coords = lo[:, None] + mids * ((hi - lo) / n / s)[:, None]
     t_axis = t0[:, None] + (np.arange(n_temporal * s) + 0.5) \
         * ((t1 - t0) / n_temporal / s)[:, None]
-    ht = project_times(t_axis.reshape(-1), model.projection)
     n_pts = mids.shape[0]
     cells = max(1, min(n_temporal, _CHUNK // (n_pts * s)))
     boxes = max(1, _CHUNK // (n_pts * s * cells))
     out = np.empty((n_box, *n_spatial, n_temporal))
     for b0 in range(0, n_box, boxes):
         b = slice(b0, b0 + boxes)
-        pdf = model.mixture.product_pdf(
-            (coords[b] - model.spatial_stats.mean) / model.spatial_stats.std,
-            ht.reshape(n_box, t_axis.shape[1], -1)[b])
+        pdf = _box_pdf(model, coords[b], t_axis[b])
         for c0 in range(0, n_temporal, cells):
             dens = pdf(slice(c0 * s, (c0 + cells) * s))
             if s > 1:
@@ -341,16 +338,41 @@ def _cell_means(model: HypertimeModel, lo, hi, t0, t1, n_spatial,
     return out
 
 
+def _box_pdf(model: HypertimeModel, coords, t_axis):
+    """``pdf(times)``: unscaled densities (B, P, t) of each box's points
+    `coords` (B, P, d) paired with its times ``t_axis[:, times]``."""
+    if coords.shape[1] > 1 and t_axis.shape[1] > 1:
+        ht = project_times(t_axis.reshape(-1), model.projection)
+        return model.mixture.product_pdf(
+            (coords - model.spatial_stats.mean) / model.spatial_stats.std,
+            ht.reshape(*t_axis.shape, -1))
+
+    def pdf(times):  # one point or one time: nothing shared, so rows
+        t = t_axis[:, None, times]
+        shape = (*coords.shape[:2], t.shape[2])
+        x = np.broadcast_to(coords[:, :, None], (*shape, coords.shape[2]))
+        rows = _rest_points(model, x.reshape(math.prod(shape), -1),
+                            np.broadcast_to(t, shape).reshape(-1))
+        return model.mixture.pdf(rows).reshape(shape)
+    return pdf
+
+
+def _subsample(s) -> int:
+    if hasattr(type(s), "__index__") and operator.index(s) >= 1:
+        return operator.index(s)
+    raise ValueError(f"subsample must be an integer >= 1, got {s!r}")
+
+
 def predict_counts(model: HypertimeModel, spec: GridSpec,
                    subsample: int = 1) -> np.ndarray:
     """Predicted event count per grid cell (shape ``spec.shape``)."""
     return model.gamma * _grid_means(model, spec, subsample) * spec.cell_volume
 
 
-def _grid_means(model: HypertimeModel, spec: GridSpec, subsample: int = 1):
+def _grid_means(model: HypertimeModel, spec: GridSpec, s: int = 1):
     return _cell_means(model, spec.spatial_lo[None], spec.spatial_hi[None],
                        np.array([spec.t_lo]), np.array([spec.t_hi]),
-                       spec.n_spatial, spec.n_temporal, subsample)[0]
+                       spec.n_spatial, spec.n_temporal, _subsample(s))[0]
 
 
 def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
@@ -361,11 +383,12 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
     dimension and `t_bounds` the (start, end) of the time slice; the
     count is returned as a float.  A batch of B cells: `spatial_bounds`
     has shape (B, spatial_dim, 2) and `t_bounds` shape (B, 2); the
-    counts are returned as an array of length B.  Each cell's density is
-    the mean over ``subsample`` midpoints per axis.  Cells of zero,
-    negative or non-finite extent are rejected.
+    counts are returned as an array of length B.  A cell's density is the
+    mean over `subsample` (an int >= 1) midpoints per axis: at 1, its
+    centre's.  Cells of zero, negative or non-finite extent are rejected.
     """
     _require_mode(model, EVENT)
+    s = _subsample(subsample)
     d = model.layout.spatial_dim
     tb = np.asarray(t_bounds, dtype=float)
     sb = np.asarray(spatial_bounds, dtype=float)
@@ -380,16 +403,21 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
         n = min(sb.shape[0], tb.shape[0])
         raise ValueError(f"t_bounds has shape {tb.shape} but there are "
                          f"{sb.shape[0]} cells; row {n} has no match")
-    lo, hi = sb[:, :, 0], sb[:, :, 1]
-    t0, t1 = tb[:, 0], tb[:, 1]
-    ok = (t1 > t0) & np.all(hi > lo, axis=1)
-    ok &= np.isfinite(t1 - t0) & np.all(np.isfinite(hi - lo), axis=1)
+    box = np.concatenate((sb, tb[:, None]), axis=1)  # (B, d + 1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = box[..., 1] - box[..., 0]
+        volume = extent.prod(axis=1)
+    ok = (extent.min(axis=1) > 0) & (volume < np.inf)  # NaN fails too
     if not ok.all():
         where = "" if single else f" {int(np.flatnonzero(~ok)[0])}"
         raise ValueError(f"cell{where} has zero, negative or non-finite extent")
-    volume = np.prod(hi - lo, axis=1) * (t1 - t0)
-    means = _cell_means(model, lo, hi, t0, t1, (1,) * d, 1, subsample)
-    counts = model.gamma * means.reshape(-1) * volume
+    if s == 1:
+        mid = box[..., 0] + 0.5 * extent
+        means = model.mixture.pdf(_rest_points(model, mid[:, :d], mid[:, d]))
+    else:
+        means = _cell_means(model, box[:, :d, 0], box[:, :d, 1], box[:, d, 0],
+                            box[:, d, 1], (1,) * d, 1, s).reshape(-1)
+    counts = model.gamma * means * volume
     return float(counts[0]) if single else counts
 
 
@@ -689,7 +717,7 @@ def _finite(values, name) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be numbers in a regular array") \
             from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} holds a non-finite number")
     return arr
 

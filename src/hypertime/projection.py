@@ -76,13 +76,13 @@ class DimensionLayout:
 
 
 def project_times(times, projection: HypertimeProjection) -> np.ndarray:
-    """Vectorized projection; returns shape (l, 2h)."""
+    """Shape (l, 2h): cos and sin of one (l, h) phase table, interleaved."""
     times = np.asarray(times, dtype=float)
     out = np.empty((times.shape[0], 2 * projection.h))
-    for k, period in enumerate(projection.periods):
-        phase = TWO_PI * times / period
-        out[:, 2 * k] = np.cos(phase)
-        out[:, 2 * k + 1] = np.sin(phase)
+    phase = np.divide(TWO_PI * times[:, None], projection.periods,
+                      out=out[:, 1::2])  # until the sines replace them
+    np.cos(phase, out=out[:, 0::2])
+    np.sin(phase, out=phase)
     return out
 
 

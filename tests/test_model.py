@@ -7,6 +7,7 @@ independent oracle for the Gaussian marginalization identities.
 
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -499,6 +500,63 @@ def test_predict_cell_count_batch_matches_loop(spatial_dim, subsample):
         assert loop[i] == predict_counts(model, spec, subsample).item()
 
 
+@pytest.mark.parametrize("spatial_dim", [0, 1, 2])
+def test_one_midpoint_cell_is_density_at_its_centre(spatial_dim):
+    # At subsample=1 a cell's count is `density` at its centre times its
+    # volume, for a batch and for each cell alone.
+    rng = np.random.default_rng(40 + spatial_dim)
+    model = random_mixture_model(rng, "event", spatial_dim, 2, 3)
+    bounds, tb = random_cells(rng, 30, spatial_dim)
+    lo, hi = bounds[:, :, 0], bounds[:, :, 1]
+    centre = lo + 0.5 * (hi - lo)
+    t_centre = tb[:, 0] + 0.5 * (tb[:, 1] - tb[:, 0])
+    volume = np.prod(hi - lo, axis=1) * (tb[:, 1] - tb[:, 0])
+    x = centre if spatial_dim else None
+    expect = density(model, x=x, t=t_centre) * volume
+    got = predict_cell_count(model, bounds, tb)
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    for i in range(30):
+        x = centre[i] if spatial_dim else None
+        one = density(model, x=x, t=t_centre[i]) * volume[i]
+        assert predict_cell_count(model, bounds[i], tb[i]) == one
+
+
+@pytest.mark.parametrize("subsample", [2.7, "2", 2.0, None, 0, -1])
+def test_subsample_must_be_an_integer_of_at_least_one(event_model,
+                                                      subsample):
+    # 2.7 and "2" used to run silently as 2.
+    bounds, tb = [(2.0, 2.5), (1.0, 1.5)], (0.0, 1800.0)
+    spec = GridSpec([2.0, 1.0], [2.5, 1.5], (1, 1), 0.0, 1800.0, 1)
+    match = "^" + re.escape(f"subsample must be an integer >= 1, got "
+                            f"{subsample!r}") + "$"
+    with pytest.raises(ValueError, match=match):
+        predict_cell_count(event_model, bounds, tb, subsample=subsample)
+    with pytest.raises(ValueError, match=match):
+        predict_counts(event_model, spec, subsample=subsample)
+
+
+@pytest.mark.parametrize("spatial, t_bounds", [
+    ([(0.0, 1.0), (0.0, 1.0)], (-1e308, 1e308)),
+    ([(0.0, 1.0), (0.0, 1.0)], (np.inf, np.inf)),
+    ([(0.0, 1.0), (-np.inf, 1.0)], (0.0, 1.0)),
+    ([(-1e308, 1e308), (0.0, 1.0)], (0.0, 1.0)),
+    ([(0.0, np.nan), (0.0, 1.0)], (0.0, 1.0)),
+    # Finite extents whose product overflows.
+    ([(-1e200, 1e200), (-1e200, 1e200)], (0.0, 1.0)),
+])
+def test_cell_extents_overflowing_or_infinite_fail_loudly(event_model,
+                                                          spatial, t_bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning first
+        with pytest.raises(ValueError, match="^cell has zero, negative or "
+                                             "non-finite extent$"):
+            predict_cell_count(event_model, spatial, t_bounds)
+        with pytest.raises(ValueError, match="^cell 1 has zero"):
+            predict_cell_count(event_model,
+                               [[(0.0, 1.0), (0.0, 1.0)], spatial],
+                               [(0.0, 1.0), t_bounds])
+
+
 def tiled_cell_mean(model, lo, hi, t0, t1, s):
     """Oracle: the mixture density averaged over the s midpoints per axis
     of the cell [lo, hi) x [t0, t1), every (point, time) pair one row."""
@@ -727,6 +785,16 @@ def test_queries_reject_non_finite_inputs_by_name(query, match):
         warnings.simplefilter("error")  # no warning from cos/sin first
         with pytest.raises(ValueError, match=f"{match} holds a non-finite"):
             call(model, **query)
+
+
+@pytest.mark.parametrize("t", [np.zeros((3, 1)), [[0.0, 1.0]]])
+def test_queries_refuse_times_of_more_than_one_dimension(t):
+    model = single_component_model(np.random.default_rng(8), 0, 1)
+    with pytest.raises(ValueError, match="^query time t must be a scalar "
+                                         "or 1-D, got shape"):
+        predict_mean(model, None, t)
+    with pytest.raises(ValueError, match="^query time t must be"):
+        density(model, a=np.zeros(3), t=t)
 
 
 def _corrupt(payload, field, value):

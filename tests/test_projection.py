@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertime import (
     Dataset,
@@ -60,6 +62,43 @@ def test_project_times_matches_scalar():
             np.testing.assert_allclose(block[i, 2 * k:2 * k + 2],
                                        (np.cos(phase), np.sin(phase)),
                                        atol=1e-12)
+
+
+def loop_projection(times, proj):
+    """The per-period loop one phase table replaced."""
+    out = np.empty((times.shape[0], 2 * proj.h))
+    for k, period in enumerate(proj.periods):
+        phase = 2.0 * np.pi * times / period
+        out[:, 2 * k] = np.cos(phase)
+        out[:, 2 * k + 1] = np.sin(phase)
+    return out
+
+
+_times = st.lists(st.floats(-1e9, 1e9), max_size=40)
+_periods = st.lists(st.floats(1.0, 1e7), max_size=6, unique=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_times, _periods)
+def test_project_times_matches_per_period_loop_bit_for_bit(times, periods):
+    t = np.array(times, dtype=float)
+    proj = HypertimeProjection(tuple(periods))
+    got = project_times(t, proj)
+    assert got.shape == (t.size, 2 * proj.h)
+    assert np.array_equal(got.view(np.uint64),
+                          loop_projection(t, proj).view(np.uint64))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(-1e7, 1e7), st.floats(60.0, 1e6))
+def test_project_times_is_periodic(t, period):
+    # t and t + P have phases 2 pi apart up to the rounding of t + P, of
+    # the product and of the quotient: a few ulps of the phase.  So the
+    # pairs agree to 1e-14 times (1 + |phase|), a margin of ~45 ulps.
+    proj = HypertimeProjection((period,))
+    a, b = project_times(np.array([t, t + period]), proj)
+    phase = 2.0 * np.pi * (abs(t) + period) / period
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14 * (1.0 + phase))
 
 
 def test_projection_validation():
