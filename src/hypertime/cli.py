@@ -8,10 +8,12 @@ in any flag not given on the command line; explicit flags win.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
+from subprocess import DEVNULL, PIPE, Popen
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .model import BuildConfig, build, build_event, load_model, \
     predict_cell_count, predict_counts, predict_mean, density, save_model, \
     training_grid
 from .spectral import ResidualSeries, default_candidates, spectrum
+from . import writer
 
 _DEFAULTS = {
     "mode": None,
@@ -91,21 +94,6 @@ def _resolve(args, config, key, cast=str):
     return _DEFAULTS.get(key)
 
 
-def _parse_clamp(text):
-    if text is None:
-        return None
-    parts = str(text).split(":")
-    if len(parts) != 2:
-        raise CliError("--clamp expects lo:hi")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise CliError("--clamp expects numeric lo:hi") from None
-    if hi <= lo:
-        raise CliError("--clamp upper bound must exceed the lower bound")
-    return lo, hi
-
-
 def _parse_clusters(text):
     if text is None or text == "auto":
         return text
@@ -147,23 +135,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _fmt_all(a) -> list[str]:
-    """`_fmt` of every element of `a`, in C order."""
-    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
-
-
-def _write_text(path, text, force):
-    """Write `text`, a string or strings in turn, through a renamed file."""
-    if os.path.exists(path) and not force:
-        raise CliError(f"{path} exists; pass --force to overwrite")
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
-    os.replace(tmp, path)
-
-
 def _build_config(args, config, mode) -> BuildConfig:
     backend = _resolve(args, config, "backend")
     if backend not in ("em", "km"):
@@ -200,6 +171,7 @@ def cmd_train(args, config) -> int:
     data = _load(args.input, _resolve(args, config, "schema"))
     wanted = _resolve(args, config, "mode")
     _check_mode(data, wanted, args.input)
+    _check_grid_flags(args, data.mode)
     if args.model is None:
         raise CliError("--model is required")
     if os.path.exists(args.model) and not args.force:
@@ -239,12 +211,12 @@ def cmd_predict(args, config) -> int:
             f"queries have {queries.spatial_dim} spatial dims, "
             f"model expects {model.layout.spatial_dim}")
     clamp = _valued_clamp(args, config, model.mode)
+    _check_grid_flags(args, model.mode)
     coords = queries.coords if queries.spatial_dim else None
     if model.mode == VALUED:
         preds = _clamped(predict_mean(model, coords, queries.times), clamp)
     else:
-        use_cells = args.grid_spatial is not None or args.grid_temporal is not None
-        if use_cells:
+        if args.grid_spatial is not None or args.grid_temporal is not None:
             se = _resolve(args, config, "grid_spatial", float)
             te = _resolve(args, config, "grid_temporal", float)
             sub = _resolve(args, config, "subsample", int)
@@ -260,7 +232,8 @@ def cmd_predict(args, config) -> int:
     sys.stdout.write(",".join(header + ["prediction"]) + "\n")
     # Only one block's strings are alive at a time.
     for r0 in range(0, len(preds), _PREDICT_BLOCK):
-        fields = [_fmt_all(c[r0:r0 + _PREDICT_BLOCK]) for c in columns]
+        fields = [list(map(repr, c[r0:r0 + _PREDICT_BLOCK].tolist()))
+                  for c in columns]
         sys.stdout.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
@@ -280,9 +253,28 @@ def _validation_split(train):
 def _valued_clamp(args, config, mode):
     """The --clamp bounds; only valued predictions can be clamped."""
     text = _resolve(args, config, "clamp")
-    if text is not None and mode != VALUED:
+    if text is None:
+        return None
+    if mode != VALUED:
         raise CliError(f"--clamp applies to valued data only, not {mode} data")
-    return _parse_clamp(text)
+    parts = str(text).split(":")
+    if len(parts) != 2:
+        raise CliError("--clamp expects lo:hi")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise CliError("--clamp expects numeric lo:hi") from None
+    if hi <= lo:
+        raise CliError("--clamp upper bound must exceed the lower bound")
+    return lo, hi
+
+
+def _check_grid_flags(args, mode):
+    """Grid flags apply to event data only; config values are not checked."""
+    for key in ("grid_spatial", "grid_temporal"):
+        if mode == VALUED and getattr(args, key) is not None:
+            raise CliError(f"--{key.replace('_', '-')} applies to event "
+                           f"data only, not {mode} data")
 
 
 def _clamped(preds, clamp):
@@ -436,30 +428,51 @@ def _heatmap_name(fold, spatial_edge, temporal_edge):
     return f"heatmap_fold{fold}_s{spatial_edge:g}_t{temporal_edge:g}.dat"
 
 
-def _heatmap_blocks(spec, obs, pred):
-    """The text of one heatmap file, one spatial cell's lines at a time;
-    cells run in C order like obs/pred."""
-    yield "# " + " ".join([f"x{d + 1}" for d in range(spec.spatial_dim)]
-                          + ["t", "observed", "predicted"]) + "\n"
-    # One string per axis value and per distinct observed count.
-    places = itertools.product(*(_fmt_all(spec.spatial_centers(d))
-                                 for d in range(spec.spatial_dim)))
-    times = _fmt_all(spec.temporal_centers)
-    counts, which = np.unique(np.asarray(obs, dtype=float),
-                              return_inverse=True)
-    labels = np.array(_fmt_all(counts), dtype=object)
-    which = which.reshape(-1, len(times))
-    pred = np.asarray(pred, dtype=float).reshape(-1, len(times))
-    for place, cell_which, cell_pred in zip(places, which, pred):
-        prefix = "".join(x + " " for x in place)
-        yield "".join(f"{prefix}{t} {o} {p}\n" for t, o, p in zip(
-            times, labels[cell_which].tolist(), _fmt_all(cell_pred)))
+@contextlib.contextmanager
+def _heatmap_helper(n_files):
+    """`writer` run as a script, for part of `n_files` heatmaps (None with
+    one heatmap, one CPU or no interpreter file); reaped on leaving, also
+    on an error, as closing its stdin ends a helper with no request."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    if n_files < 2 or cpus < 2 or not all(
+            map(os.path.isfile, (sys.executable, writer.__file__))):
+        yield None
+        return
+    proc = Popen([sys.executable, "-I", "-S", writer.__file__],
+                 stdin=PIPE, stdout=DEVNULL, stderr=PIPE)
+    try:
+        yield proc
+    finally:
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
+        proc.stderr.close()
+        proc.wait()
 
 
-def _dump_heatmaps(heatmaps, out_dir, force):
-    for fi, se, te, spec, obs, pred in heatmaps:
-        path = os.path.join(out_dir, _heatmap_name(fi, se, te))
-        _write_text(path, _heatmap_blocks(spec, obs, pred), force)
+def _dump_heatmaps(heatmaps, out_dir, force, helper=None):
+    """Write the heatmaps; a `helper` writes the second half by cells."""
+    files = [(os.path.join(out_dir, _heatmap_name(fi, se, te)),
+              [spec.spatial_centers(d).tolist()
+               for d in range(spec.spatial_dim)],
+              spec.temporal_centers.tolist(),
+              np.ascontiguousarray(obs, dtype=float).reshape(-1),
+              np.ascontiguousarray(pred, dtype=float).reshape(-1))
+             for fi, se, te, spec, obs, pred in heatmaps]
+    mine = len(files)
+    if helper is not None and mine >= 2:
+        cells = list(itertools.accumulate(f[-1].size for f in files))
+        mine = min(range(1, len(files)),
+                   key=lambda k: abs(2 * cells[k - 1] - cells[-1]))
+        with contextlib.suppress(BrokenPipeError):  # its exit says why
+            writer.send(helper.stdin, files[mine:], force)
+            helper.stdin.close()
+    for path, *grid in files[:mine]:
+        writer.write_text(path, writer.heatmap_blocks(*grid), force)
+    if mine < len(files):
+        err = helper.stderr.read().decode(errors="replace").strip()
+        if helper.wait() != 0:
+            raise CliError(err or "the heatmap writer failed")
 
 
 def cmd_evaluate(args, config) -> int:
@@ -478,6 +491,7 @@ def cmd_evaluate(args, config) -> int:
             raise CliError(f"{path}: fold mode {fold.mode} differs from training")
         folds.append(fold)
     clamp = _valued_clamp(args, config, train.mode)
+    _check_grid_flags(args, train.mode)
     run_ttests = len(folds) >= 2
     if not run_ttests:
         print("warning: a single test fold cannot support t-tests; "
@@ -489,11 +503,10 @@ def cmd_evaluate(args, config) -> int:
     force = args.force
     errors_path = os.path.join(out_dir, "errors.csv")
     report_path = os.path.join(out_dir, "ttests.json")
-    planned = [errors_path] + ([report_path] if run_ttests else [])
-    if train.mode == EVENT:
-        planned += [os.path.join(out_dir, _heatmap_name(fi, se, te))
-                    for fi in range(len(folds))
-                    for se, te in _edge_pairs(args, config)]
+    maps = [] if train.mode != EVENT else [
+        os.path.join(out_dir, _heatmap_name(fi, se, te))
+        for fi in range(len(folds)) for se, te in _edge_pairs(args, config)]
+    planned = [errors_path] + ([report_path] if run_ttests else []) + maps
     if len(set(planned)) < len(planned):
         raise CliError("spatial_edges and temporal_edges name one heatmap "
                        "file twice")
@@ -501,28 +514,29 @@ def cmd_evaluate(args, config) -> int:
         if os.path.exists(path) and not force:
             raise CliError(f"{path} exists; pass --force to overwrite")
 
-    if train.mode == VALUED:
-        per_fold, parameters, heatmaps = _evaluate_valued(
-            args, config, train, folds, clamp)
-    else:
-        per_fold, parameters, heatmaps = _evaluate_event(
-            args, config, train, folds)
+    # Started this early, the helper's start-up hides behind the model work.
+    with _heatmap_helper(len(maps)) as helper:
+        if train.mode == VALUED:
+            per_fold, parameters, heatmaps = _evaluate_valued(
+                args, config, train, folds, clamp)
+        else:
+            per_fold, parameters, heatmaps = _evaluate_event(
+                args, config, train, folds)
 
-    alpha = _resolve(args, config, "alpha", float)
-    lines = ["method,fold,error"]
-    for name in per_fold:
-        for fi, err in enumerate(per_fold[name]):
-            lines.append(f"{name},{fi},{_fmt(err)}")
-    _write_text(errors_path, "\n".join(lines) + "\n", force)
-    if run_ttests:
-        report = pairwise_ttests(per_fold, alpha=alpha)
-        payload = report.to_dict()
-        payload["alpha"] = alpha
-        payload["parameters"] = parameters
-        _write_text(report_path,
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    force)
-    _dump_heatmaps(heatmaps, out_dir, force)
+        alpha = _resolve(args, config, "alpha", float)
+        lines = ["method,fold,error"]
+        for name in per_fold:
+            for fi, err in enumerate(per_fold[name]):
+                lines.append(f"{name},{fi},{_fmt(err)}")
+        writer.write_text(errors_path, "\n".join(lines) + "\n", force)
+        if run_ttests:
+            report = pairwise_ttests(per_fold, alpha=alpha)
+            payload = report.to_dict()
+            payload["alpha"] = alpha
+            payload["parameters"] = parameters
+            writer.write_text(report_path, json.dumps(
+                payload, indent=2, sort_keys=True) + "\n", force)
+        _dump_heatmaps(heatmaps, out_dir, force, helper)
     print(f"evaluation written to {out_dir}")
     if run_ttests:
         for a, b in report.edges:

@@ -412,7 +412,8 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
     Returns ``(centers, assignments)``.  Centers are per-cluster means
     with every circular pair re-normalized back onto the unit circle;
     a cluster that loses all members is re-seeded from the point
-    farthest from its current center.
+    farthest from its current center.  With fewer distinct points than
+    clusters, some stay empty in the assignments to the last centers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -426,9 +427,10 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
         counts = np.bincount(new_assign, minlength=n)
         if np.any(counts == 0):
             own = dists[np.arange(points.shape[0]), new_assign]
+            # Farthest first, ties in lexicographic order as in seeding.
+            order = np.lexsort((*points.T[::-1], -own))
             taken: set[int] = set()
             for j in np.flatnonzero(counts == 0):
-                order = np.argsort(-own, kind="stable")
                 pick = next(
                     (int(i) for i in order
                      if int(i) not in taken and counts[new_assign[i]] > 1),
@@ -443,6 +445,8 @@ def kmeans_init(points, layout: DimensionLayout, n: int, seed=42,
         sums = np.zeros((n, points.shape[1]))
         np.add.at(sums, assign, points)
         centers = _renormalize_pairs(sums / counts[:, None], layout)
+    if assign is None:
+        assign = _pairwise_mixed(points, centers, layout).argmin(axis=1)
     return centers, assign
 
 

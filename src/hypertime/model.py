@@ -25,7 +25,6 @@ that leaves the calibration grid without mass is an error.
 import json
 import math
 import operator
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -39,6 +38,7 @@ from .projection import (DimensionLayout, HypertimeProjection, assemble,
                          project_times)
 from .spectral import (WEEK_SECONDS, ResidualSeries, default_candidates,
                        prominent_period, spectral_sum)
+from .writer import write_text
 
 MODEL_FORMAT = "hypertime-model"
 MODEL_VERSION = 1
@@ -745,10 +745,7 @@ def _check_components(comps) -> None:
 def save_model(model: HypertimeModel, path) -> None:
     """Write the model as versioned JSON (write-then-rename)."""
     text = json.dumps(model_to_dict(model), indent=2, sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    write_text(path, text + "\n", force=True)
 
 
 def load_model(path) -> HypertimeModel:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hypertime
+import hypertime.cli as cli
 from hypertime import (Dataset, GridSpec, density, load_model,
                        predict_cell_count, predict_mean)
 from hypertime.cli import _PREDICT_BLOCK, _dump_heatmaps, _fmt, main
@@ -45,6 +46,15 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After every test, this process has no child left, running or not
+    reaped (the heatmap helper of `evaluate` included)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +183,38 @@ def test_train_mode_mismatch(workdir, capsys):
                "--model", str(workdir / "never.json")])
     assert rc == 1
     assert "valued" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--grid-spatial", "--grid-temporal"])
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+def test_grid_flags_on_valued_data_fail_loudly(workdir, trained_model,
+                                               eval_config, tmp_path, capsys,
+                                               command, flag):
+    out = tmp_path / "out"
+    argv = {"train": ["--clusters", "1", "--model", str(out)],
+            "predict": ["--model", str(trained_model)],
+            "evaluate": ["--test", str(workdir / "fold1.csv"),
+                         "--config", str(eval_config), "--clusters", "1",
+                         "--out-dir", str(out)]}[command]
+    rc = main([command, "--input", str(workdir / "train.csv"), *argv,
+               flag, "2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (f"error: {flag} applies to event data only, "
+                            "not valued data\n")
+    assert not out.exists()
+
+
+def test_grid_keys_in_a_config_file_stay_allowed_on_valued_data(
+        workdir, tmp_path, capsys):
+    config = tmp_path / "grid.cfg"
+    config.write_text("grid_spatial = 2\ngrid_temporal = 600\n",
+                      encoding="utf-8")
+    rc = main(["train", "--input", str(workdir / "train.csv"),
+               "--clusters", "1", "--max-h", "0", "--config", str(config),
+               "--model", str(tmp_path / "m.json")])
+    assert rc == 0
+    assert "model written" in capsys.readouterr().out
 
 
 def test_train_config_file_supplies_flags(workdir, tmp_path):
@@ -655,25 +697,142 @@ def test_evaluate_writes_one_heatmap_per_fold_and_edge_pair(
         assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
+def _cpus(monkeypatch, n):
+    """Let `evaluate` see `n` CPUs: 2 turns its heatmap helper on, 1 off."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 @pytest.mark.parametrize("n_spatial", [(3, 2), (4,), ()])
-def test_heatmap_writer_matches_per_element_repr(tmp_path, n_spatial):
+def test_heatmap_writer_matches_per_element_repr(tmp_path, monkeypatch,
+                                                 n_spatial):
     d = len(n_spatial)
     spec = GridSpec(np.full(d, -0.3), np.full(d, 1.1), n_spatial,
                     1000.0, 1000.0 + 7 * 1800.0, 7)
     rng = np.random.default_rng(0)
-    obs = rng.poisson(2.0, spec.shape)  # integer counts print as floats
-    pred = rng.normal(0, 1e-3, spec.shape)
-    pred.flat[0] = -0.0
-    _dump_heatmaps([(0, 0.5, 1800.0, spec, obs, pred)], str(tmp_path), False)
-    text = (tmp_path / "heatmap_fold0_s0.5_t1800.dat").read_text()
+    maps = []
+    for fold in range(3):
+        obs = rng.poisson(2.0, spec.shape)  # integer counts print as floats
+        pred = rng.normal(0, 1e-3, spec.shape)
+        # -0.0 and both sides of repr's switches to exponent notation.
+        edges = [-0.0, 1e-4, 9.999999999999999e-05, 1e16,
+                 9999999999999998.0, -1e16, 1.5e-310]
+        pred.flat[fold:fold + len(edges)] = edges[:pred.size - fold]
+        maps.append((fold, 0.5, 1800.0, spec, obs, pred))
     centers = [spec.spatial_centers(k) for k in range(d)]
-    expect = ["# " + " ".join([f"x{k + 1}" for k in range(d)]
-                              + ["t", "observed", "predicted"])]
-    for idx in np.ndindex(spec.shape):
-        row = [centers[k][idx[k]] for k in range(d)]
-        row += [spec.temporal_centers[idx[-1]], obs[idx], pred[idx]]
-        expect.append(" ".join(repr(float(v)) for v in row))
-    assert text == "\n".join(expect) + "\n"
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        with cli._heatmap_helper(len(maps)) as helper:
+            assert (helper is None) == (cpus == 1)
+            _dump_heatmaps(maps, str(out), False, helper)
+        for fold, _, _, _, obs, pred in maps:
+            text = (out / f"heatmap_fold{fold}_s0.5_t1800.dat").read_text()
+            expect = ["# " + " ".join([f"x{k + 1}" for k in range(d)]
+                                      + ["t", "observed", "predicted"])]
+            for idx in np.ndindex(spec.shape):
+                row = [centers[k][idx[k]] for k in range(d)]
+                row += [spec.temporal_centers[idx[-1]], obs[idx], pred[idx]]
+                expect.append(" ".join(repr(float(v)) for v in row))
+            assert text == "\n".join(expect) + "\n"
+    assert sorted(os.listdir(tmp_path / "cpus1")) == sorted(
+        os.listdir(tmp_path / "cpus2"))
+
+
+def _event_evaluate(workdir, eval_config, out, *extra):
+    return main(["evaluate", "--input", str(workdir / "events.csv"),
+                 "--test", str(workdir / "efold1.csv"),
+                 "--test", str(workdir / "efold2.csv"),
+                 "--config", str(eval_config),
+                 "--clusters", "2", "--max-h", "0",
+                 "--grid-spatial", "1.0", "--grid-temporal", "21600",
+                 "--out-dir", str(out), *extra])
+
+
+def test_evaluate_output_bytes_do_not_depend_on_the_helper(
+        workdir, eval_config, tmp_path, monkeypatch, capsys):
+    sent = []
+    real_send = cli.writer.send
+    monkeypatch.setattr(cli.writer, "send", lambda stream, files, force: (
+        sent.append([f[0] for f in files]), real_send(stream, files, force)))
+    files = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert _event_evaluate(workdir, eval_config, out) == 0
+        files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert capsys.readouterr().err == ""
+    assert files[1] == files[2]
+    assert len(files[2]) == 4  # errors, t-tests and two heatmaps
+    # Only the two-CPU run sent its second heatmap to the helper.
+    assert sent == [[str(tmp_path / "cpus2" / "heatmap_fold1_s1_t21600.dat")]]
+
+
+def test_evaluate_reports_a_failing_helper(workdir, eval_config, tmp_path,
+                                           monkeypatch, capsys):
+    # The second heatmap, the helper's, cannot replace a directory.
+    errors = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        (out / "heatmap_fold1_s1_t21600.dat").mkdir(parents=True)
+        assert _event_evaluate(workdir, eval_config, out, "--force") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        errors.append(err.replace(str(out), "OUT"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "errors.csv", "heatmap_fold0_s1_t21600.dat",
+            "heatmap_fold1_s1_t21600.dat", "ttests.json"]
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("raised, rc", [
+    (cli.CliError("stopped"), 1), (ValueError("stopped"), 1),
+    (KeyboardInterrupt(), None)])
+def test_evaluate_reaps_the_helper_when_interrupted(
+        workdir, eval_config, tmp_path, monkeypatch, capsys, raised, rc):
+    started, real_popen = [], cli.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    def stop(*args, **kwargs):
+        raise raised
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "Popen", popen)
+    monkeypatch.setattr(cli, "pairwise_ttests", stop)
+    out = tmp_path / "stopped"
+    if rc is None:
+        with pytest.raises(KeyboardInterrupt):
+            _event_evaluate(workdir, eval_config, out)
+    else:
+        assert _event_evaluate(workdir, eval_config, out) == rc
+        assert capsys.readouterr().err == "error: stopped\n"
+    # Stopped before its request, the helper saw EOF and exited cleanly.
+    assert [p.returncode for p in started] == [0]
+    assert [p.name for p in out.iterdir()] == ["errors.csv"]
+
+
+def test_evaluate_starts_no_helper_for_fewer_than_two_heatmaps(
+        workdir, eval_config, tmp_path, monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "Popen", None)  # starting one would fail
+    assert run_evaluate(workdir, eval_config, tmp_path / "valued") == 0
+    rc = main(["evaluate", "--input", str(workdir / "events.csv"),
+               "--test", str(workdir / "efold1.csv"),
+               "--config", str(eval_config), "--clusters", "2",
+               "--max-h", "0", "--out-dir", str(tmp_path / "one")])
+    assert rc == 0
+    assert [p.name for p in (tmp_path / "one").glob("heatmap_*")] == [
+        "heatmap_fold0_s0.5_t1800.dat"]
+
+
+def test_heatmap_helper_without_a_request_exits_quietly():
+    done = subprocess.run([sys.executable, "-I", "-S", cli.writer.__file__],
+                          input=b"", capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
 
 
 def test_evaluate_rejects_clamp_for_event_data(workdir, eval_config, tmp_path,

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
@@ -1142,3 +1144,42 @@ def test_fit_log_stop_reverted():
     assert model.fit_log.stop == "reverted"
     assert model.fit_log.iterations == 1
     assert model.components[0].covariance[0, 0] == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# row order (property tests)
+
+
+def _layout_points(rng, layout, rows, coarse):
+    """`rows` vectors of `layout`, each circular pair on the unit circle;
+    `coarse` draws from a few values so that rows and distances tie."""
+    lin = int(layout.has_value) + layout.spatial_dim
+    draw = rng.integers(0, 3, (rows, lin)).astype(float) if coarse \
+        else rng.normal(0, 2, (rows, lin))
+    phases = rng.integers(0, 4, (rows, layout.n_periods)) * (np.pi / 2) \
+        if coarse else rng.uniform(0, 2 * np.pi, (rows, layout.n_periods))
+    pairs = np.stack([np.cos(phases), np.sin(phases)], axis=2)
+    return np.hstack([draw, pairs.reshape(rows, -1)])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2),
+       st.integers(0, 2), st.integers(1, 5), st.integers(5, 40),
+       st.booleans())
+def test_seeding_and_kmeans_init_ignore_row_order(
+        data_seed, has_value, spatial_dim, n_periods, n, rows, coarse):
+    layout = DimensionLayout(has_value, spatial_dim, n_periods)
+    assume(layout.width > 0)
+    rng = np.random.default_rng(data_seed)
+    pts = _layout_points(rng, layout, rows, coarse)
+    perm = rng.permutation(rows)
+    seed = int(rng.integers(1000))
+    np.testing.assert_array_equal(
+        clustering._seed_centers(pts, layout, n, np.random.default_rng(seed)),
+        clustering._seed_centers(pts[perm], layout, n,
+                                 np.random.default_rng(seed)))
+    centers, assign = kmeans_init(pts, layout, n, seed=seed)
+    centers_p, assign_p = kmeans_init(pts[perm], layout, n, seed=seed)
+    np.testing.assert_array_equal(assign_p, assign[perm])
+    # Cluster sums run in row order, so centres agree to rounding.
+    np.testing.assert_allclose(centers_p, centers, rtol=1e-12, atol=1e-12)

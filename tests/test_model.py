@@ -7,11 +7,15 @@ independent oracle for the Gaussian marginalization identities.
 
 import itertools
 import json
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypertime import (
     BuildConfig,
@@ -951,3 +955,98 @@ def test_save_model_is_atomic(tmp_path, daily_data):
     assert path.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.name != "m.json"]
     assert leftovers == []
+
+
+def test_failed_save_model_leaves_the_old_file_and_no_temporary(
+        tmp_path, daily_data, monkeypatch):
+    model = build(daily_data, BuildConfig(
+        fit=FitConfig(n_clusters=1, seed=42), max_h=0, auto_clusters=False))
+    path = tmp_path / "m.json"
+    path.write_text("old\n", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save_model(model, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    assert path.read_text(encoding="utf-8") == "old\n"
+
+
+# ---------------------------------------------------------------------------
+# model JSON round trip (property test)
+
+
+def _random_payload(rng, valued, spatial_dim, n_periods, k, with_fit):
+    """A valid model payload with every number drawn at random."""
+    layout = DimensionLayout(valued, spatial_dim, n_periods)
+    dim = layout.width
+    weights = rng.uniform(0.1, 1.0, k)
+    weights /= weights.sum()
+    comps = []
+    for w in weights:
+        cov = random_spd(rng, dim, rng.uniform(0.1, 2.0))
+        comps.append({"weight": float(w),
+                      "mean": rng.normal(0, 1, dim).tolist(),
+                      "covariance": (0.5 * (cov + cov.T)).tolist()})
+    lo = rng.normal(0, 3, spatial_dim)
+    trace = np.cumsum(rng.uniform(0, 5, int(rng.integers(1, 6)))) - 100.0
+    eigs = np.sort(rng.uniform(1e-6, 3.0, (k, 2)), axis=1)
+    periods = rng.choice(np.arange(1, 200) * 3600.0, n_periods, replace=False)
+    return {
+        "format": "hypertime-model", "version": 1,
+        "mode": "valued" if valued else "event",
+        "gamma": float(rng.uniform(1e-3, 1e3)),
+        "gamma_fallback": bool(rng.integers(2)),
+        "periods": periods.tolist(),
+        "layout": {"has_value": valued, "spatial_dim": spatial_dim,
+                   "n_periods": n_periods},
+        "spatial_stats": {"mean": rng.normal(0, 3, spatial_dim).tolist(),
+                          "std": rng.uniform(0.1, 4, spatial_dim).tolist()},
+        "window": {"spatial_lo": lo.tolist(),
+                   "spatial_hi": (lo + rng.uniform(0, 5,
+                                                   spatial_dim)).tolist(),
+                   "t_lo": float(rng.uniform(0, 1e6)),
+                   "t_hi": float(rng.uniform(1e6, 1e8))},
+        "training_error": float(rng.uniform(0, 2)),
+        "components": comps,
+        "fit": None if not with_fit else {
+            "iterations": trace.size, "log_likelihood": float(trace[-1]),
+            "ll_trace": trace.tolist(), "restarts": int(rng.integers(6)),
+            "diagonal_fallback": bool(rng.integers(2)),
+            "raw_eigenvalues": eigs.tolist()},
+        "build_log": [{"h": h, "error": float(rng.uniform(0, 2)),
+                       "period": None if h == 0 else periods[h - 1].item(),
+                       "kept": True} for h in range(n_periods + 1)],
+    }
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2),
+       st.integers(0, 3), st.integers(1, 4), st.booleans())
+def test_model_json_round_trip_keeps_bytes_and_predictions(
+        seed, valued, spatial_dim, n_periods, k, with_fit):
+    assume(valued or spatial_dim + n_periods > 0)
+    rng = np.random.default_rng(seed)
+    model = model_from_dict(_random_payload(rng, valued, spatial_dim,
+                                            n_periods, k, with_fit))
+    n = 50
+    t = rng.uniform(-1e6, 1e8, n)
+    x = rng.normal(0, 3, (n, spatial_dim)) if spatial_dim else None
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = (os.path.join(tmp, n) for n in ("a.json", "b.json"))
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    if valued:
+        a = rng.normal(0, 2, n)
+        np.testing.assert_array_equal(predict_mean(loaded, x, t),
+                                      predict_mean(model, x, t))
+        np.testing.assert_array_equal(density(loaded, a, x, t),
+                                      density(model, a, x, t))
+    else:
+        np.testing.assert_array_equal(density(loaded, x=x, t=t),
+                                      density(model, x=x, t=t))
