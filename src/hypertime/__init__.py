@@ -26,7 +26,6 @@ from .clustering import (
     em_fit_stable,
     km_fit,
     kmeans_init,
-    mixed_distance,
 )
 from .dataset import (
     EVENT,
@@ -60,7 +59,6 @@ from .model import (
     calibrate_gamma,
     density,
     load_model,
-    model_error,
     model_from_dict,
     model_to_dict,
     predict_cell_count,

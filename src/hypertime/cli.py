@@ -29,35 +29,74 @@ from .model import BuildConfig, build, build_event, load_model, \
 from .spectral import ResidualSeries, default_candidates, spectrum
 from . import writer
 
-_DEFAULTS = {
-    "mode": None,
-    "backend": "em",
-    "clusters": None,
-    "max_h": 5,
-    "longest_period": 604800.0,
-    "candidates": 168,
-    "seed": 42,
-    "grid_spatial": 0.5,
-    "grid_temporal": 1800.0,
-    "clamp": None,
-    "schema": None,
-    "subsample": 1,
-    "alpha": 0.05,
-    "hist_range": "1,2,4,8,24,48",
-    "fremen_range": "0,1,2,3",
-    "clusters_range": "2,3,5,8",
-    "spatial_edges": None,
-    "temporal_edges": None,
-}
-
-_CONFIG_KEYS = set(_DEFAULTS) | {"input", "test", "model", "out_dir", "force"}
-
 # Rows of `predict` output formatted and written at a time.
 _PREDICT_BLOCK = 8192
 
 
 class CliError(Exception):
     pass
+
+
+def _parse_clusters(text):
+    if text == "auto":
+        return text
+    try:
+        n = int(text)
+    except ValueError:
+        raise CliError(f"--clusters expects an integer or 'auto', got {text!r}") from None
+    if n < 1:
+        raise CliError("--clusters must be >= 1")
+    return n
+
+
+def _parse_clamp(text):
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise CliError("--clamp expects lo:hi")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise CliError("--clamp expects numeric lo:hi") from None
+    if hi <= lo:
+        raise CliError("--clamp upper bound must exceed the lower bound")
+    return lo, hi
+
+
+def _split(cast):
+    """Parser of a comma-separated list of `cast` values, blanks dropped."""
+    return lambda text: [cast(v.strip()) for v in text.split(",")
+                         if v.strip() != ""]
+
+
+_BUILD, _FIT = BuildConfig(), FitConfig()
+
+# Every key that a flag or a --config line can set: its default and the
+# parser of its text.  Text is a config line's value or a string-typed
+# flag's; argparse has already typed the other flags.
+_OPTIONS = {
+    "input": (None, str),
+    "model": (None, str),
+    "test": ((), _split(str)),
+    "out_dir": (None, str),
+    "schema": (None, lambda text: [s.strip() for s in text.split(",")]),
+    "mode": (None, str),
+    "backend": (_FIT.backend, str),
+    "clusters": (None, _parse_clusters),
+    "max_h": (_BUILD.max_h, int),
+    "longest_period": (_BUILD.longest_period, float),
+    "candidates": (_BUILD.n_candidates, int),
+    "seed": (_FIT.seed, int),
+    "grid_spatial": (_BUILD.event_spatial_bin, float),
+    "grid_temporal": (_BUILD.event_temporal_bin, float),
+    "clamp": (None, _parse_clamp),
+    "subsample": (1, int),
+    "alpha": (0.05, float),
+    "hist_range": ((1, 2, 4, 8, 24, 48), _split(int)),
+    "fremen_range": ((0, 1, 2, 3), _split(int)),
+    "clusters_range": ((2, 3, 5, 8), _split(int)),
+    "spatial_edges": (None, _split(float)),
+    "temporal_edges": (None, _split(float)),
+}
 
 
 def _read_config(path) -> dict:
@@ -70,56 +109,36 @@ def _read_config(path) -> dict:
                     continue
                 if "=" not in line:
                     raise CliError(f"{path}:{i}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in _CONFIG_KEYS:
+                key, value = (s.strip() for s in line.split("=", 1))
+                if key not in _OPTIONS:
                     raise CliError(f"{path}:{i}: unknown config key {key!r}")
-                out[key] = value.strip()
+                out[key] = value
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from None
     return out
 
 
-def _resolve(args, config, key, cast=str):
-    """Flag value if given, else config file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise CliError(f"config key {key!r}: bad value {raw!r}") from None
-    return _DEFAULTS.get(key)
+def _options(args) -> argparse.Namespace:
+    """Every `_OPTIONS` key: the flag, else the config line, else default."""
+    config = _read_config(args.config) if args.config else {}
+    opts = argparse.Namespace()
+    for key, (default, parse) in _OPTIONS.items():
+        value = getattr(args, key, None)
+        if value is None and key in config:
+            try:
+                value = parse(config[key])
+            except ValueError:
+                raise CliError(f"config key {key!r}: bad value "
+                               f"{config[key]!r}") from None
+        elif isinstance(value, str):
+            value = parse(value)
+        setattr(opts, key, default if value is None else value)
+    return opts
 
 
-def _parse_clusters(text):
-    if text is None or text == "auto":
-        return text
-    try:
-        n = int(text)
-    except ValueError:
-        raise CliError(f"--clusters expects an integer or 'auto', got {text!r}") from None
-    if n < 1:
-        raise CliError("--clusters must be >= 1")
-    return n
-
-
-def _resolve_list(args, config, key, cast=int):
-    """`_resolve` of a comma-separated list of `cast` values."""
-    text = str(_resolve(args, config, key))
-    try:
-        return [cast(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        kind = "integers" if cast is int else "numbers"
-        raise CliError(f"{key}: expected comma-separated {kind}") from None
-
-
-def _load(path, schema):
+def _load(path, names):
     if path is None:
         raise CliError("--input is required")
-    names = None if schema is None else [s.strip() for s in schema.split(",")]
     try:
         return load_csv(path, schema=names)
     except (OSError, ValueError) as exc:
@@ -135,50 +154,44 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _build_config(args, config, mode) -> BuildConfig:
-    backend = _resolve(args, config, "backend")
-    if backend not in ("em", "km"):
-        raise CliError(f"unknown backend {backend!r}")
-    clusters = _parse_clusters(_resolve(args, config, "clusters"))
-    seed = _resolve(args, config, "seed", int)
-    fit = FitConfig(seed=seed, backend=backend)
-    auto = None
-    if clusters == "auto":
-        auto = True
-    elif clusters is not None:
-        fit = FitConfig(n_clusters=clusters, seed=seed, backend=backend)
-        auto = False
-    elif backend == "em":
+def _build_config(opts, mode, **override) -> BuildConfig:
+    """The `BuildConfig` of `opts`, with the keys in `override` replaced."""
+    opts = argparse.Namespace(**{**vars(opts), **override})
+    if opts.backend not in ("em", "km"):
+        raise CliError(f"unknown backend {opts.backend!r}")
+    fixed = isinstance(opts.clusters, int)
+    if opts.clusters is None and opts.backend == "em":
         raise CliError("the em backend needs --clusters (an integer)")
-    cfg = BuildConfig(
-        fit=fit,
-        max_h=_resolve(args, config, "max_h", int),
-        longest_period=_resolve(args, config, "longest_period", float),
-        n_candidates=_resolve(args, config, "candidates", int),
-        auto_clusters=auto,
-    )
-    if mode == EVENT:
-        cfg.event_spatial_bin = _resolve(args, config, "grid_spatial", float)
-        cfg.event_temporal_bin = _resolve(args, config, "grid_temporal", float)
-    return cfg
+    if mode == EVENT and not fixed:
+        raise CliError("event data needs --clusters (an integer)")
+    grid = dict(event_spatial_bin=opts.grid_spatial,
+                event_temporal_bin=opts.grid_temporal) if mode == EVENT else {}
+    return BuildConfig(
+        fit=FitConfig(n_clusters=opts.clusters if fixed else _FIT.n_clusters,
+                      seed=opts.seed, backend=opts.backend),
+        max_h=opts.max_h,
+        longest_period=opts.longest_period,
+        n_candidates=opts.candidates,
+        # None leaves the km backend to pick the count.
+        auto_clusters=None if opts.clusters is None else not fixed,
+        **grid)
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def cmd_train(args, config) -> int:
-    data = _load(args.input, _resolve(args, config, "schema"))
-    wanted = _resolve(args, config, "mode")
-    _check_mode(data, wanted, args.input)
+def cmd_train(args, opts) -> int:
+    data = _load(opts.input, opts.schema)
+    _check_mode(data, opts.mode, opts.input)
     _check_grid_flags(args, data.mode)
-    if args.model is None:
+    if opts.model is None:
         raise CliError("--model is required")
-    if os.path.exists(args.model) and not args.force:
-        raise CliError(f"{args.model} exists; pass --force to overwrite")
-    cfg = _build_config(args, config, data.mode)
+    if os.path.exists(opts.model) and not args.force:
+        raise CliError(f"{opts.model} exists; pass --force to overwrite")
+    cfg = _build_config(opts, data.mode)
     model = build(data, cfg) if data.mode == VALUED else build_event(data, cfg)
-    save_model(model, args.model)
+    save_model(model, opts.model)
     print(f"mode: {model.mode}")
     print(f"gamma: {_fmt(model.gamma)}"
           + (" (fallback)" if model.gamma_fallback else ""))
@@ -187,7 +200,7 @@ def cmd_train(args, config) -> int:
         period = "-" if step.period is None else f"{step.period:.1f}"
         print(f"{step.h}  {step.error:<15.9g}  {period:<9}  "
               f"{'yes' if step.kept else 'no'}")
-    print(f"model written to {args.model}")
+    print(f"model written to {opts.model}")
     return 0
 
 
@@ -195,38 +208,35 @@ def cmd_train(args, config) -> int:
 # predict
 
 
-def cmd_predict(args, config) -> int:
-    if args.model is None:
+def cmd_predict(args, opts) -> int:
+    if opts.model is None:
         raise CliError("--model is required")
     try:
-        model = load_model(args.model)
+        model = load_model(opts.model)
     except (OSError, ValueError) as exc:
-        raise CliError(f"{args.model}: {exc}") from None
-    queries = _load(args.input, _resolve(args, config, "schema"))
-    wanted = _resolve(args, config, "mode")
-    if wanted is not None and wanted != model.mode:
-        raise CliError(f"model is {model.mode}, --mode {wanted} given")
+        raise CliError(f"{opts.model}: {exc}") from None
+    queries = _load(opts.input, opts.schema)
+    if opts.mode is not None and opts.mode != model.mode:
+        raise CliError(f"model is {model.mode}, --mode {opts.mode} given")
     if queries.spatial_dim != model.layout.spatial_dim:
         raise CliError(
             f"queries have {queries.spatial_dim} spatial dims, "
             f"model expects {model.layout.spatial_dim}")
-    clamp = _valued_clamp(args, config, model.mode)
+    clamp = _valued_clamp(opts, model.mode)
     _check_grid_flags(args, model.mode)
     coords = queries.coords if queries.spatial_dim else None
     if model.mode == VALUED:
         preds = _clamped(predict_mean(model, coords, queries.times), clamp)
     else:
         if args.grid_spatial is not None or args.grid_temporal is not None:
-            se = _resolve(args, config, "grid_spatial", float)
-            te = _resolve(args, config, "grid_temporal", float)
-            sub = _resolve(args, config, "subsample", int)
+            se, te = opts.grid_spatial, opts.grid_temporal
             c, t = queries.coords, queries.times
             preds = predict_cell_count(
                 model, np.stack([c - se / 2, c + se / 2], axis=2),
-                np.column_stack([t - te / 2, t + te / 2]), subsample=sub)
+                np.column_stack([t - te / 2, t + te / 2]),
+                subsample=opts.subsample)
         else:
-            preds = np.atleast_1d(
-                density(model, x=coords, t=queries.times))
+            preds = np.atleast_1d(density(model, x=coords, t=queries.times))
     header = ["t"] + [f"x{d + 1}" for d in range(queries.spatial_dim)]
     columns = [queries.times, *queries.coords.T, preds]
     sys.stdout.write(",".join(header + ["prediction"]) + "\n")
@@ -250,23 +260,11 @@ def _validation_split(train):
         return train, train
 
 
-def _valued_clamp(args, config, mode):
+def _valued_clamp(opts, mode):
     """The --clamp bounds; only valued predictions can be clamped."""
-    text = _resolve(args, config, "clamp")
-    if text is None:
-        return None
-    if mode != VALUED:
+    if opts.clamp is not None and mode != VALUED:
         raise CliError(f"--clamp applies to valued data only, not {mode} data")
-    parts = str(text).split(":")
-    if len(parts) != 2:
-        raise CliError("--clamp expects lo:hi")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise CliError("--clamp expects numeric lo:hi") from None
-    if hi <= lo:
-        raise CliError("--clamp upper bound must exceed the lower bound")
-    return lo, hi
+    return opts.clamp
 
 
 def _check_grid_flags(args, mode):
@@ -279,49 +277,33 @@ def _check_grid_flags(args, mode):
 
 def _clamped(preds, clamp):
     preds = np.atleast_1d(preds)
-    if clamp is None:
-        return preds
-    return np.clip(preds, clamp[0], clamp[1])
+    return preds if clamp is None else np.clip(preds, *clamp)
 
 
-def _evaluate_valued(args, config, train, folds, clamp):
-    seed = _resolve(args, config, "seed", int)
+def _evaluate_valued(opts, train, folds, clamp):
     head, tail = _validation_split(train)
-    candidates = default_candidates(
-        train.duration,
-        _resolve(args, config, "longest_period", float),
-        _resolve(args, config, "candidates", int),
-    )
-
-    hist_range = _resolve_list(args, config, "hist_range")
-    fremen_range = _resolve_list(args, config, "fremen_range")
+    candidates = default_candidates(train.duration, opts.longest_period,
+                                    opts.candidates)
     best_hist = sweep(head, tail, lambda tr, n: hist_predictor(tr, n),
-                      hist_range).best
+                      opts.hist_range).best
     best_fremen = sweep(
         head, tail,
         lambda tr, m: fremen_predictor(tr, m, candidates),
-        fremen_range).best
+        opts.fremen_range).best
 
-    clusters = _parse_clusters(_resolve(args, config, "clusters"))
-    shared = dict(
-        max_h=_resolve(args, config, "max_h", int),
-        longest_period=_resolve(args, config, "longest_period", float),
-        n_candidates=_resolve(args, config, "candidates", int))
-
+    # HyT-EM and HyT-KM both run, whatever --backend says.
     def em_cfg(k):
-        return BuildConfig(fit=FitConfig(n_clusters=k, seed=seed,
-                                         backend="em"),
-                           auto_clusters=False, **shared)
+        return _build_config(opts, VALUED, backend="em", clusters=k)
 
-    if isinstance(clusters, int):
-        em_k = clusters
+    if isinstance(opts.clusters, int):
+        em_k = opts.clusters
     else:
         em_k = sweep(head, tail, lambda tr, k: build(tr, em_cfg(k)),
-                     _resolve_list(args, config, "clusters_range")).best
+                     opts.clusters_range).best
 
     em_model = build(train, em_cfg(em_k))
-    km_model = build(train, BuildConfig(
-        fit=FitConfig(seed=seed, backend="km"), auto_clusters=True, **shared))
+    km_model = build(train, _build_config(opts, VALUED, backend="km",
+                                          clusters="auto"))
     predictors = {
         "Mean": mean_predictor(train),
         f"Hist_{best_hist}": hist_predictor(train, best_hist),
@@ -344,10 +326,9 @@ def _evaluate_valued(args, config, train, folds, clamp):
     return per_fold, parameters, []
 
 
-def _evaluate_event(args, config, train, folds):
-    spatial_edge = _resolve(args, config, "grid_spatial", float)
-    temporal_edge = _resolve(args, config, "grid_temporal", float)
-    cfg = _build_config(args, config, EVENT)
+def _evaluate_event(opts, train, folds):
+    spatial_edge, temporal_edge = opts.grid_spatial, opts.grid_temporal
+    cfg = _build_config(opts, EVENT)
     model = build_event(train, cfg)
     candidates = default_candidates(train.duration, cfg.longest_period,
                                     cfg.n_candidates)
@@ -368,12 +349,10 @@ def _evaluate_event(args, config, train, folds):
     def grid_scorer(predicted, _validation):
         return rmse(predicted.reshape(-1), val_counts.reshape(-1))
 
-    hist_range = _resolve_list(args, config, "hist_range")
-    fremen_range = _resolve_list(args, config, "fremen_range")
-    best_hist = sweep(head, tail, baseline_factory("hist"), hist_range,
+    best_hist = sweep(head, tail, baseline_factory("hist"), opts.hist_range,
                       scorer=grid_scorer).best
-    best_fremen = sweep(head, tail, baseline_factory("fremen"), fremen_range,
-                        scorer=grid_scorer).best
+    best_fremen = sweep(head, tail, baseline_factory("fremen"),
+                        opts.fremen_range, scorer=grid_scorer).best
 
     hyt_name = f"HyT-{cfg.fit.backend.upper()}"
     methods = {
@@ -385,7 +364,7 @@ def _evaluate_event(args, config, train, folds):
     }
     per_fold = {name: [] for name in methods}
     heatmaps = []
-    edge_pairs = _edge_pairs(args, config)
+    edge_pairs = _edge_pairs(opts)
     for fi, fold in enumerate(folds):
         span = float(fold.times.min()), float(fold.times.max())
         grids = {}  # (spec, observed, HyT counts) per edge pair
@@ -413,15 +392,11 @@ def _evaluate_event(args, config, train, folds):
     return per_fold, parameters, heatmaps
 
 
-def _edge_pairs(args, config):
+def _edge_pairs(opts):
     """The (spatial, temporal) cell edges of the event heatmaps."""
-    if None in (_resolve(args, config, "spatial_edges"),
-                _resolve(args, config, "temporal_edges")):
-        return [(_resolve(args, config, "grid_spatial", float),
-                 _resolve(args, config, "grid_temporal", float))]
-    return list(itertools.product(
-        _resolve_list(args, config, "spatial_edges", float),
-        _resolve_list(args, config, "temporal_edges", float)))
+    if None in (opts.spatial_edges, opts.temporal_edges):
+        return [(opts.grid_spatial, opts.grid_temporal)]
+    return list(itertools.product(opts.spatial_edges, opts.temporal_edges))
 
 
 def _heatmap_name(fold, spatial_edge, temporal_edge):
@@ -475,28 +450,24 @@ def _dump_heatmaps(heatmaps, out_dir, force, helper=None):
             raise CliError(err or "the heatmap writer failed")
 
 
-def cmd_evaluate(args, config) -> int:
-    schema = _resolve(args, config, "schema")
-    train = _load(args.input, schema)
-    wanted = _resolve(args, config, "mode")
-    _check_mode(train, wanted, args.input)
-    test_paths = args.test or [
-        p.strip() for p in config.get("test", "").split(",") if p.strip()]
-    if not test_paths:
+def cmd_evaluate(args, opts) -> int:
+    train = _load(opts.input, opts.schema)
+    _check_mode(train, opts.mode, opts.input)
+    if not opts.test:
         raise CliError("evaluate needs at least one --test fold")
     folds = []
-    for path in test_paths:
-        fold = _load(path, schema)
+    for path in opts.test:
+        fold = _load(path, opts.schema)
         if fold.mode != train.mode:
             raise CliError(f"{path}: fold mode {fold.mode} differs from training")
         folds.append(fold)
-    clamp = _valued_clamp(args, config, train.mode)
+    clamp = _valued_clamp(opts, train.mode)
     _check_grid_flags(args, train.mode)
     run_ttests = len(folds) >= 2
     if not run_ttests:
         print("warning: a single test fold cannot support t-tests; "
               "writing errors only", file=sys.stderr)
-    out_dir = args.out_dir or config.get("out_dir")
+    out_dir = opts.out_dir
     if out_dir is None:
         raise CliError("--out-dir is required")
     os.makedirs(out_dir, exist_ok=True)
@@ -505,7 +476,7 @@ def cmd_evaluate(args, config) -> int:
     report_path = os.path.join(out_dir, "ttests.json")
     maps = [] if train.mode != EVENT else [
         os.path.join(out_dir, _heatmap_name(fi, se, te))
-        for fi in range(len(folds)) for se, te in _edge_pairs(args, config)]
+        for fi in range(len(folds)) for se, te in _edge_pairs(opts)]
     planned = [errors_path] + ([report_path] if run_ttests else []) + maps
     if len(set(planned)) < len(planned):
         raise CliError("spatial_edges and temporal_edges name one heatmap "
@@ -518,12 +489,12 @@ def cmd_evaluate(args, config) -> int:
     with _heatmap_helper(len(maps)) as helper:
         if train.mode == VALUED:
             per_fold, parameters, heatmaps = _evaluate_valued(
-                args, config, train, folds, clamp)
+                opts, train, folds, clamp)
         else:
             per_fold, parameters, heatmaps = _evaluate_event(
-                args, config, train, folds)
+                opts, train, folds)
 
-        alpha = _resolve(args, config, "alpha", float)
+        alpha = opts.alpha
         lines = ["method,fold,error"]
         for name in per_fold:
             for fi, err in enumerate(per_fold[name]):
@@ -548,15 +519,12 @@ def cmd_evaluate(args, config) -> int:
 # spectrum
 
 
-def cmd_spectrum(args, config) -> int:
-    data = _load(args.input, _resolve(args, config, "schema"))
+def cmd_spectrum(args, opts) -> int:
+    data = _load(opts.input, opts.schema)
     if data.mode != VALUED:
         raise CliError("spectrum needs a valued CSV")
-    candidates = default_candidates(
-        data.duration,
-        _resolve(args, config, "longest_period", float),
-        _resolve(args, config, "candidates", int),
-    )
+    candidates = default_candidates(data.duration, opts.longest_period,
+                                    opts.candidates)
     result = spectrum(ResidualSeries(data.times, data.values), candidates)
     print("period,amplitude")
     for period, amp in result.entries:
@@ -640,12 +608,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        config = _read_config(args.config) if getattr(args, "config", None) \
-            else {}
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args, _options(args))
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

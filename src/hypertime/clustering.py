@@ -345,7 +345,9 @@ class MixtureModel:
 
 
 def _pairwise_mixed(points, centers, layout: DimensionLayout) -> np.ndarray:
-    """Distance matrix (N, K) under the mixed metric."""
+    """Distance matrix (N, K) under the mixed metric: Euclidean over the
+    value and spatial indices plus, per circular pair, one minus the
+    cosine similarity of the (cos, sin) sub-vectors."""
     linear = [layout.value_index] if layout.has_value else []
     linear += list(layout.spatial_indices)
     diff = points[:, None, linear] - centers[None, :, linear]
@@ -361,16 +363,6 @@ def _pairwise_mixed(points, centers, layout: DimensionLayout) -> np.ndarray:
         cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
         dist += 1.0 - cos
     return dist
-
-
-def mixed_distance(p, q, layout: DimensionLayout) -> float:
-    """Euclidean over value+spatial indices plus, per circular pair,
-    one minus the cosine similarity of the (cos, sin) sub-vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (layout.width,) or q.shape != (layout.width,):
-        raise ValueError("vector width does not match layout")
-    return float(_pairwise_mixed(p[None, :], q[None, :], layout)[0, 0])
 
 
 # ---------------------------------------------------------------------------

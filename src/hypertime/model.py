@@ -58,7 +58,8 @@ class BuildConfig:
     longest_period: float = WEEK_SECONDS
     n_candidates: int = 168
     # None resolves per backend: the km route picks its cluster count
-    # automatically, the em route takes it from `fit.n_clusters`.
+    # automatically, the em route takes it from `fit.n_clusters`.  Event
+    # builds have no count search and refuse a config that asks for one.
     auto_clusters: bool | None = None
     cluster_cap: int = 10
     event_spatial_bin: float = 0.5
@@ -206,12 +207,6 @@ def residuals(model: HypertimeModel, data: Dataset) -> ResidualSeries:
         raise ValueError("residuals need valued data")
     preds = np.atleast_1d(predict_mean(model, data.coords, data.times))
     return ResidualSeries(data.times.copy(), preds - data.values)
-
-
-def model_error(model: HypertimeModel, data: Dataset) -> float:
-    """Root mean squared residual over `data`."""
-    eps = residuals(model, data).values
-    return float(np.sqrt(np.mean(eps * eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +497,12 @@ def _run_build(train: Dataset, cfg: BuildConfig,
     return best
 
 
+def _picks_cluster_count(cfg: BuildConfig) -> bool:
+    """Whether `cfg` leaves the cluster count to `select_cluster_count`."""
+    return (cfg.fit.backend == "km" if cfg.auto_clusters is None
+            else cfg.auto_clusters)
+
+
 def build(train: Dataset, cfg: BuildConfig | None = None) -> HypertimeModel:
     """Fit a valued model, discovering periods from the residual spectrum."""
     cfg = cfg or BuildConfig()
@@ -510,10 +511,7 @@ def build(train: Dataset, cfg: BuildConfig | None = None) -> HypertimeModel:
     if len(train) < 2:
         raise ValueError("need at least two records")
     fitcfg = cfg.fit
-    auto = cfg.auto_clusters
-    if auto is None:
-        auto = fitcfg.backend == "km"
-    if auto:
+    if _picks_cluster_count(cfg):
         selection = select_cluster_count(train, cfg)
         fitcfg = replace(fitcfg, n_clusters=selection.chosen)
     return _run_build(train, cfg, fitcfg)
@@ -528,6 +526,9 @@ def build_event(train: Dataset, cfg: BuildConfig | None = None) -> HypertimeMode
         raise ValueError("need at least two records")
     if train.duration <= 0:
         raise ValueError("events span zero time")
+    if _picks_cluster_count(cfg):
+        raise ValueError("event models need a fixed cluster count: "
+                         "set auto_clusters=False")
     return _run_build(train, cfg, cfg.fit)
 
 

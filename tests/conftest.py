@@ -55,3 +55,15 @@ def daily_weekly_data():
 @pytest.fixture(scope="session")
 def event_data():
     return pedestrian_events()
+
+
+def pytest_collection_modifyitems(items):
+    # Hypothesis explains a falsifying example with libcst, whose import
+    # warns that `mypy_extensions.TypedDict` is deprecated.  Under
+    # `pytest -W error` that warning would end the run in an INTERNALERROR
+    # instead of printing the example.  A mark, unlike an ini
+    # `filterwarnings` entry, takes precedence over `-W`.
+    mark = pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    for item in items:
+        item.add_marker(mark)

@@ -244,6 +244,201 @@ def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
     assert f"{cfg}:1" in err
 
 
+# Keys that only a config line can set; every other `_OPTIONS` key is in
+# FLAG_CASES.
+CONFIG_ONLY = {"subsample", "alpha", "hist_range", "fremen_range",
+               "clusters_range", "spatial_edges", "temporal_edges"}
+
+_TRAIN = ["train", "--input", "{train}", "--model", "m.json"]
+_EVENTS = ["train", "--input", "{events}", "--clusters", "2", "--max-h", "1",
+           "--model", "m.json"]
+_EVALUATE = ["evaluate", "--input", "{train}", "--clusters", "1",
+             "--max-h", "0"]
+_FOLDS = ["--test", "{fold1}", "--test", "{fold2}"]
+
+# key: (argv without the key, the key as flags, the same as a config
+# value, another config value that changes the outcome)
+FLAG_CASES = {
+    "input": (["train", "--clusters", "1", "--max-h", "0", "--model",
+               "m.json"], ["--input", "{train}"], "{train}", "{fold1}"),
+    "model": (["train", "--input", "{train}", "--clusters", "1",
+               "--max-h", "0"], ["--model", "m.json"], "m.json", "n.json"),
+    "test": (_EVALUATE + ["--out-dir", "out"], _FOLDS, "{fold1}, {fold2}",
+             "{fold1}"),
+    "out_dir": (_EVALUATE + _FOLDS, ["--out-dir", "out"], "out", "other"),
+    "schema": (["train", "--input", "{plain}", "--clusters", "1",
+                "--max-h", "0", "--model", "m.json"],
+               ["--schema", "t,a"], "t,a", "t,x1"),
+    "mode": (_TRAIN + ["--clusters", "1", "--max-h", "0"],
+             ["--mode", "valued"], "valued", "event"),
+    "backend": (_TRAIN + ["--clusters", "2", "--max-h", "0"],
+                ["--backend", "km"], "km", "em"),
+    "clusters": (_TRAIN + ["--max-h", "0"], ["--clusters", "2"], "2", "1"),
+    "max_h": (_TRAIN + ["--clusters", "1"], ["--max-h", "1"], "1", "0"),
+    "longest_period": (["spectrum", "--input", "{train}"],
+                       ["--longest-period", "172800"], "172800", "345600"),
+    "candidates": (["spectrum", "--input", "{train}"],
+                   ["--candidates", "20"], "20", "40"),
+    "seed": (_TRAIN + ["--clusters", "2", "--max-h", "0"],
+             ["--seed", "3"], "3", "5"),
+    "grid_spatial": (_EVENTS, ["--grid-spatial", "1.0"], "1.0", "2.0"),
+    "grid_temporal": (_EVENTS, ["--grid-temporal", "21600"], "21600",
+                      "7200"),
+    "clamp": (["predict", "--model", "{model}", "--input", "{queries}"],
+              ["--clamp", "0.45:0.55"], "0.45:0.55", "0.5:0.6"),
+}
+
+
+@pytest.fixture
+def paths(workdir, trained_model, tmp_path):
+    queries = tmp_path / "queries.csv"
+    queries.write_text("t\n" + "".join(
+        f"{t!r}\n" for t in np.linspace(0.0, 2 * DAY, 9).tolist()),
+        encoding="utf-8")
+    plain = tmp_path / "plain.csv"
+    plain.write_text((workdir / "train.csv").read_text().split("\n", 1)[1],
+                     encoding="utf-8")
+    names = ("train", "fold1", "fold2", "events")
+    return dict({n: str(workdir / f"{n}.csv") for n in names},
+                model=str(trained_model), queries=str(queries),
+                plain=str(plain))
+
+
+def _run_in(directory, monkeypatch, capsys, argv, config):
+    """`main(argv + --config)` run in a new `directory`: the exit code,
+    stdout, stderr and every file it wrote there."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    (directory / "run.cfg").write_text(config, encoding="utf-8")
+    rc = main([*argv, "--config", "run.cfg"])
+    out, err = capsys.readouterr()
+    files = {str(p.relative_to(directory)): p.read_bytes()
+             for p in sorted(directory.rglob("*"))
+             if p.is_file() and p.name != "run.cfg"}
+    return rc, out, err, files
+
+
+def test_flag_cases_cover_every_key_with_a_flag():
+    assert set(FLAG_CASES) == set(cli._OPTIONS) - CONFIG_ONLY
+
+
+@pytest.mark.parametrize("key", sorted(FLAG_CASES))
+def test_config_line_gives_the_flags_outputs_and_the_flag_wins(
+        key, paths, tmp_path, monkeypatch, capsys):
+    argv, flags, value, other = FLAG_CASES[key]
+    argv, flags = ([a.format(**paths) for a in x] for x in (argv, flags))
+    value, other = value.format(**paths), other.format(**paths)
+    base = "hist_range = 1\nfremen_range = 0\n" if argv[0] == "evaluate" \
+        else ""
+
+    def run(name, extra, line=""):
+        return _run_in(tmp_path / name, monkeypatch, capsys, argv + extra,
+                       base + line)
+
+    by_flag = run("flag", flags)
+    assert by_flag[0] == 0, by_flag[2]
+    assert run("config", [], f"{key} = {value}\n") == by_flag
+    assert run("both", flags, f"{key} = {other}\n") == by_flag
+    # The other value matters, so the flag did win.
+    assert run("other", [], f"{key} = {other}\n") != by_flag
+
+
+@pytest.mark.parametrize("key, value, message", [
+    *[(k, "x", None) for k in ("max_h", "longest_period", "seed",
+                               "grid_spatial", "grid_temporal", "subsample",
+                               "alpha", "fremen_range", "spatial_edges",
+                               "temporal_edges")],
+    ("candidates", "1.5", None),
+    ("hist_range", "1,x", None),
+    ("clusters_range", "2;3", None),
+    ("clusters", "few", "--clusters expects an integer or 'auto', got 'few'"),
+    ("clusters", "0", "--clusters must be >= 1"),
+    ("clamp", "1", "--clamp expects lo:hi"),
+    ("clamp", "a:b", "--clamp expects numeric lo:hi"),
+])
+def test_bad_config_value_fails_naming_key_and_value(
+        key, value, message, workdir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    model = tmp_path / "m.json"
+    rc = main(["train", "--input", str(workdir / "train.csv"),
+               "--config", str(cfg), "--model", str(model)])
+    captured = capsys.readouterr()
+    message = message or f"config key {key!r}: bad value {value!r}"
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    assert not model.exists()
+
+
+def test_input_and_model_come_from_the_config_file(
+        workdir, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {workdir / 'train.csv'}\nmodel = {model}\n"
+                   "clusters = 1\nmax_h = 1\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert load_model(model).projection.periods == (DAY,)
+    cfg.write_text(f"input = {workdir / 'fold1.csv'}\nmodel = {model}\n",
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert header == ["t", "prediction"] and len(rows) > 0
+
+
+def test_force_is_a_flag_only(workdir, trained_model, tmp_path, capsys):
+    cfg = tmp_path / "force.cfg"
+    cfg.write_text("force = true\n", encoding="utf-8")
+    before = trained_model.read_bytes()
+    rc = main(["train", "--input", str(workdir / "train.csv"),
+               "--clusters", "1", "--max-h", "0", "--config", str(cfg),
+               "--model", str(trained_model)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: unknown config key 'force'\n")
+    assert trained_model.read_bytes() == before
+
+
+def test_predict_with_grid_keys_only_in_config_writes_densities(
+        workdir, trained_event_model, tmp_path, capsys):
+    queries = tmp_path / "q.csv"
+    queries.write_text("t,x1,x2\n3600.0,2.0,1.0\n7200.0,6.0,3.0\n",
+                       encoding="utf-8")
+    argv = ["predict", "--model", str(trained_event_model),
+            "--input", str(queries)]
+    assert main(argv) == 0
+    densities = capsys.readouterr().out
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid_spatial = 0.5\ngrid_temporal = 1800\n",
+                   encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == densities
+    assert main(argv + ["--grid-spatial", "0.5"]) == 0
+    assert capsys.readouterr().out != densities
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--clusters", "auto"], "event data needs --clusters (an integer)"),
+    (["--backend", "km"], "event data needs --clusters (an integer)"),
+    (["--backend", "km", "--clusters", "auto"],
+     "event data needs --clusters (an integer)"),
+    ([], "the em backend needs --clusters (an integer)"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_event_data_needs_an_integer_cluster_count(
+        command, flags, message, workdir, eval_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = {"train": ["--model", str(out)],
+            "evaluate": ["--test", str(workdir / "efold1.csv"),
+                         "--config", str(eval_config),
+                         "--out-dir", str(out)]}[command]
+    rc = main([command, "--input", str(workdir / "events.csv"), "--max-h",
+               "0", *argv, *flags])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.endswith(f"error: {message}\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -19,7 +19,6 @@ from hypertime import (
     em_fit_stable,
     km_fit,
     kmeans_init,
-    mixed_distance,
 )
 from hypertime import clustering
 from hypertime.clustering import (COND_CEILING, MixtureCore, _default_init,
@@ -388,31 +387,37 @@ def test_mixture_core_names_a_non_positive_definite_component():
         mix.logpdf(np.zeros((1, 2)))
 
 
+def _distance(p, q, layout):
+    """`_pairwise_mixed` between two single points."""
+    return float(_pairwise_mixed(np.atleast_2d(p), np.atleast_2d(q),
+                                 layout)[0, 0])
+
+
 def test_mixed_distance_identical_points():
     lay = DimensionLayout(True, 1, 1)
     p = np.array([0.5, 2.0, 1.0, 0.0])
-    assert mixed_distance(p, p, lay) == pytest.approx(0.0)
+    assert _distance(p, p, lay) == pytest.approx(0.0)
 
 
 def test_mixed_distance_antipodal_pairs():
     lay = DimensionLayout(False, 0, 2)
     p = np.array([1.0, 0.0, 0.0, 1.0])
     q = np.array([-1.0, 0.0, 0.0, -1.0])
-    assert mixed_distance(p, q, lay) == pytest.approx(4.0)
+    assert _distance(p, q, lay) == pytest.approx(4.0)
 
 
 def test_mixed_distance_no_temporal_is_euclidean():
     lay = DimensionLayout(True, 2, 0)
     p = np.array([1.0, 0.0, 0.0])
     q = np.array([1.0, 3.0, 4.0])
-    assert mixed_distance(p, q, lay) == pytest.approx(5.0)
+    assert _distance(p, q, lay) == pytest.approx(5.0)
 
 
 def test_mixed_distance_zero_norm_pair_counts_one():
     lay = DimensionLayout(False, 0, 1)
     p = np.array([0.0, 0.0])
     q = np.array([1.0, 0.0])
-    assert mixed_distance(p, q, lay) == pytest.approx(1.0)
+    assert _distance(p, q, lay) == pytest.approx(1.0)
 
 
 def test_mixed_distance_symmetry():
@@ -420,9 +425,9 @@ def test_mixed_distance_symmetry():
     rng = np.random.default_rng(3)
     for _ in range(20):
         p, q = rng.normal(0, 1, (2, 4))
-        d1 = mixed_distance(p, q, lay)
+        d1 = _distance(p, q, lay)
         assert d1 >= 0
-        assert d1 == pytest.approx(mixed_distance(q, p, lay))
+        assert d1 == pytest.approx(_distance(q, p, lay))
 
 
 def test_kmeans_init_single_cluster():
@@ -454,7 +459,7 @@ def test_kmeans_init_n_equals_points():
     for j in range(6):
         members = pts[assign == j]
         assert members.shape[0] == 1
-        d = mixed_distance(members[0], centers[j], lay)
+        d = _distance(members[0], centers[j], lay)
         assert d == pytest.approx(0.0, abs=1e-9)
 
 

@@ -38,7 +38,6 @@ from hypertime import (
     density,
     grid_count,
     load_model,
-    model_error,
     model_from_dict,
     model_to_dict,
     predict_cell_count,
@@ -269,6 +268,18 @@ def test_build_event_requires_event_data(daily_data):
         build_event(daily_data, BuildConfig())
 
 
+@pytest.mark.parametrize("fit, auto", [(FitConfig(), True),
+                                       (FitConfig(backend="km"), True),
+                                       (FitConfig(backend="km"), None)])
+def test_build_event_refuses_to_pick_the_cluster_count(event_data, fit,
+                                                       auto):
+    # Event builds have no cluster-count search; fitting
+    # `fit.n_clusters` instead would hide that the request was ignored.
+    cfg = BuildConfig(fit=fit, max_h=0, auto_clusters=auto)
+    with pytest.raises(ValueError, match="fixed cluster count"):
+        build_event(event_data, cfg)
+
+
 def test_build_needs_at_least_two_records():
     ds = Dataset(np.array([0.0]), np.empty((1, 0)), np.array([1.0]))
     with pytest.raises(ValueError):
@@ -324,7 +335,7 @@ def test_residuals_and_model_error(daily_data):
     np.testing.assert_allclose(series.values, mu - daily_data.values,
                                atol=1e-12)
     np.testing.assert_array_equal(series.times, daily_data.times)
-    assert model_error(model, daily_data) == pytest.approx(
+    assert model.training_error == pytest.approx(
         np.sqrt(np.mean(series.values ** 2)))
 
 
