@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from subprocess import DEVNULL, PIPE, Popen
+from subprocess import PIPE, Popen
 
 import numpy as np
 
@@ -29,8 +29,10 @@ from .model import BuildConfig, build, build_event, load_model, \
 from .spectral import ResidualSeries, default_candidates, spectrum
 from . import writer
 
-# Rows of `predict` output formatted and written at a time.
-_PREDICT_BLOCK = 8192
+# `predict` hands half its rows to the writer helper past this many output
+# fields; below it the helper costs more than it saves (BENCH_21.json).
+_HELPER_FIELDS = 65_536
+_MODES, _BACKENDS = (VALUED, EVENT), ("em", "km")
 
 
 class CliError(Exception):
@@ -62,6 +64,15 @@ def _parse_clamp(text):
     return lo, hi
 
 
+def _choice(choices):
+    """Parser of one of `choices`, the list its flag's argparse shares."""
+    def parse(text):
+        if text not in choices:
+            raise ValueError(text)
+        return text
+    return parse
+
+
 def _split(cast):
     """Parser of a comma-separated list of `cast` values, blanks dropped."""
     return lambda text: [cast(v.strip()) for v in text.split(",")
@@ -79,8 +90,8 @@ _OPTIONS = {
     "test": ((), _split(str)),
     "out_dir": (None, str),
     "schema": (None, lambda text: [s.strip() for s in text.split(",")]),
-    "mode": (None, str),
-    "backend": (_FIT.backend, str),
+    "mode": (None, _choice(_MODES)),
+    "backend": (_FIT.backend, _choice(_BACKENDS)),
     "clusters": (None, _parse_clusters),
     "max_h": (_BUILD.max_h, int),
     "longest_period": (_BUILD.longest_period, float),
@@ -157,8 +168,6 @@ def _fmt(x) -> str:
 def _build_config(opts, mode, **override) -> BuildConfig:
     """The `BuildConfig` of `opts`, with the keys in `override` replaced."""
     opts = argparse.Namespace(**{**vars(opts), **override})
-    if opts.backend not in ("em", "km"):
-        raise CliError(f"unknown backend {opts.backend!r}")
     fixed = isinstance(opts.clusters, int)
     if opts.clusters is None and opts.backend == "em":
         raise CliError("the em backend needs --clusters (an integer)")
@@ -225,10 +234,12 @@ def cmd_predict(args, opts) -> int:
     clamp = _valued_clamp(opts, model.mode)
     _check_grid_flags(args, model.mode)
     coords = queries.coords if queries.spatial_dim else None
-    if model.mode == VALUED:
-        preds = _clamped(predict_mean(model, coords, queries.times), clamp)
-    else:
-        if args.grid_spatial is not None or args.grid_temporal is not None:
+    # Started here, the helper's start-up hides behind the predictions.
+    fields = len(queries) * (queries.spatial_dim + 2)
+    with _helper(fields > _HELPER_FIELDS) as helper:
+        if model.mode == VALUED:
+            preds = _clamped(predict_mean(model, coords, queries.times), clamp)
+        elif args.grid_spatial is not None or args.grid_temporal is not None:
             se, te = opts.grid_spatial, opts.grid_temporal
             c, t = queries.coords, queries.times
             preds = predict_cell_count(
@@ -237,14 +248,17 @@ def cmd_predict(args, opts) -> int:
                 subsample=opts.subsample)
         else:
             preds = np.atleast_1d(density(model, x=coords, t=queries.times))
-    header = ["t"] + [f"x{d + 1}" for d in range(queries.spatial_dim)]
-    columns = [queries.times, *queries.coords.T, preds]
-    sys.stdout.write(",".join(header + ["prediction"]) + "\n")
-    # Only one block's strings are alive at a time.
-    for r0 in range(0, len(preds), _PREDICT_BLOCK):
-        fields = [list(map(repr, c[r0:r0 + _PREDICT_BLOCK].tolist()))
-                  for c in columns]
-        sys.stdout.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        header = ["t"] + [f"x{d + 1}" for d in range(queries.spatial_dim)]
+        columns = [queries.times, *queries.coords.T, preds]
+        mine = len(preds) if helper is None else (len(preds) + 1) // 2
+        if helper is not None:
+            with contextlib.suppress(BrokenPipeError):  # its exit says why
+                writer.send_rows(helper.stdin, np.array(
+                    [c[mine:] for c in columns], dtype=float))
+        sys.stdout.write(",".join(header + ["prediction"]) + "\n")
+        sys.stdout.writelines(writer.csv_rows([c[:mine] for c in columns]))
+        if helper is not None:
+            sys.stdout.write(_helper_output(helper).decode())
     return 0
 
 
@@ -404,25 +418,36 @@ def _heatmap_name(fold, spatial_edge, temporal_edge):
 
 
 @contextlib.contextmanager
-def _heatmap_helper(n_files):
-    """`writer` run as a script, for part of `n_files` heatmaps (None with
-    one heatmap, one CPU or no interpreter file); reaped on leaving, also
-    on an error, as closing its stdin ends a helper with no request."""
+def _helper(wanted):
+    """`writer` run as a script for `evaluate` and `predict`, if `wanted`
+    and two CPUs and the interpreter's files are there, else None; reaped
+    on leaving, also on an error, as closing its pipes ends it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    if n_files < 2 or cpus < 2 or not all(
+    if not wanted or cpus < 2 or not all(
             map(os.path.isfile, (sys.executable, writer.__file__))):
         yield None
         return
     proc = Popen([sys.executable, "-I", "-S", writer.__file__],
-                 stdin=PIPE, stdout=DEVNULL, stderr=PIPE)
+                 stdin=PIPE, stdout=PIPE, stderr=PIPE)
     try:
         yield proc
     finally:
         with contextlib.suppress(OSError):
             proc.stdin.close()
+        proc.stdout.close()
         proc.stderr.close()
         proc.wait()
+
+
+def _helper_output(helper):
+    """The bytes the helper wrote to stdout, once it exited with status 0;
+    else its stderr as a `CliError`."""
+    out, err = helper.communicate()
+    if helper.returncode != 0:
+        raise CliError(err.decode(errors="replace").strip()
+                       or "the writer helper failed")
+    return out
 
 
 def _dump_heatmaps(heatmaps, out_dir, force, helper=None):
@@ -441,13 +466,10 @@ def _dump_heatmaps(heatmaps, out_dir, force, helper=None):
                    key=lambda k: abs(2 * cells[k - 1] - cells[-1]))
         with contextlib.suppress(BrokenPipeError):  # its exit says why
             writer.send(helper.stdin, files[mine:], force)
-            helper.stdin.close()
     for path, *grid in files[:mine]:
         writer.write_text(path, writer.heatmap_blocks(*grid), force)
     if mine < len(files):
-        err = helper.stderr.read().decode(errors="replace").strip()
-        if helper.wait() != 0:
-            raise CliError(err or "the heatmap writer failed")
+        _helper_output(helper)
 
 
 def cmd_evaluate(args, opts) -> int:
@@ -486,7 +508,7 @@ def cmd_evaluate(args, opts) -> int:
             raise CliError(f"{path} exists; pass --force to overwrite")
 
     # Started this early, the helper's start-up hides behind the model work.
-    with _heatmap_helper(len(maps)) as helper:
+    with _helper(len(maps) >= 2) as helper:
         if train.mode == VALUED:
             per_fold, parameters, heatmaps = _evaluate_valued(
                 opts, train, folds, clamp)
@@ -541,12 +563,12 @@ def _add_data_flags(sp):
     sp.add_argument("--schema",
                     help="comma-separated column names for headerless CSVs")
     sp.add_argument("--config", help="key=value file merged under the flags")
-    sp.add_argument("--mode", choices=[VALUED, EVENT],
+    sp.add_argument("--mode", choices=_MODES,
                     help="expected data mode (validated against the CSV)")
 
 
 def _add_build_flags(sp):
-    sp.add_argument("--backend", choices=["em", "km"])
+    sp.add_argument("--backend", choices=_BACKENDS)
     sp.add_argument("--clusters", help="cluster count or 'auto'")
     sp.add_argument("--max-h", dest="max_h", type=int)
     sp.add_argument("--longest-period", dest="longest_period", type=float)
@@ -610,7 +632,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _options(args))
+        rc = _COMMANDS[args.command](args, _options(args))
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        # Stdout's reader stopped: exit quietly, and let what stdout still
+        # holds go to devnull at exit (the Python docs' SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,15 +1,18 @@
-"""Output files: write-then-rename, and the text of event heatmaps.
+"""Output files: write-then-rename, and the text of heatmaps and CSV rows.
 
-Stdlib only: `evaluate` also runs this file as a script, a second
-interpreter that writes the heatmaps `send` hands it while `evaluate`
-writes the rest.  Both apply `heatmap_blocks`' `repr` to the same
-doubles, so the bytes do not depend on the process."""
+Stdlib only: `evaluate` and `predict` also run this file as a script, a
+second interpreter that formats part of their output while they format
+the rest.  Both apply the same routine's `repr` to the same doubles, so
+the bytes do not depend on the process."""
 
 import array
 import itertools
 import json
 import os
 import sys
+
+# Rows of CSV text formatted at a time.
+ROW_BLOCK = 8192
 
 
 def write_text(path, text, force):
@@ -27,6 +30,15 @@ def write_text(path, text, force):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def csv_rows(columns):
+    """The CSV lines of equal-length `columns` that slice to something with
+    `tolist`, `ROW_BLOCK` rows a string: one block's strings at a time."""
+    for r0 in range(0, len(columns[0]), ROW_BLOCK):
+        fields = [list(map(repr, c[r0:r0 + ROW_BLOCK].tolist()))
+                  for c in columns]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def heatmap_blocks(axes, times, obs, pred):
@@ -59,16 +71,36 @@ def send(stream, files, force):
     stream.flush()
 
 
-def main(stream):
-    """Write the heatmaps `send` requested on `stream`, if any; every array
-    is read first, so the sender never waits on this process's writing."""
+def send_rows(stream, columns):
+    """Request the `csv_rows` text of `columns`, C-contiguous float64
+    arrays of one length (or a 2-D array's rows), from `main`."""
+    head = {"rows": len(columns[0]), "columns": len(columns)}
+    stream.write(json.dumps(head).encode() + b"\n")
+    stream.writelines(columns)
+    stream.flush()
+
+
+def _doubles(stream, n):
+    values = array.array("d")
+    values.fromfile(stream, n)
+    return memoryview(values)
+
+
+def main(stream, out):
+    """Write the heatmaps, or to the binary `out` the rows' text, that `send`
+    or `send_rows` requested on `stream`, if any.  The request is read
+    whole and the text kept until complete, so neither process waits on
+    the other while both format."""
     line = stream.readline()
     request = json.loads(line) if line else {"files": []}
-    files = []
-    for f in request["files"]:
-        cells = array.array("d")
-        cells.fromfile(stream, 2 * f["cells"])
-        files.append((f, memoryview(cells)))
+    if "rows" in request:
+        n, width = request["rows"], request["columns"]
+        values = _doubles(stream, n * width)
+        out.writelines([block.encode() for block in csv_rows(
+            [values[i * n:(i + 1) * n] for i in range(width)])])
+        out.flush()
+        return
+    files = [(f, _doubles(stream, 2 * f["cells"])) for f in request["files"]]
     for f, cells in files:
         write_text(f["path"], heatmap_blocks(
             f["axes"], f["times"], cells[:f["cells"]], cells[f["cells"]:]),
@@ -77,6 +109,6 @@ def main(stream):
 
 if __name__ == "__main__":
     try:
-        main(sys.stdin.buffer)
+        main(sys.stdin.buffer, sys.stdout.buffer)
     except (EOFError, OSError, ValueError) as exc:
         sys.exit(str(exc))  # to stderr, with exit status 1

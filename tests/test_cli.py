@@ -18,7 +18,8 @@ import hypertime
 import hypertime.cli as cli
 from hypertime import (Dataset, GridSpec, density, load_model,
                        predict_cell_count, predict_mean)
-from hypertime.cli import _PREDICT_BLOCK, _dump_heatmaps, _fmt, main
+from hypertime.cli import _HELPER_FIELDS, _dump_heatmaps, _fmt, main
+from hypertime.writer import ROW_BLOCK
 from conftest import daily_series, pedestrian_events
 
 DAY = 86400.0
@@ -51,7 +52,7 @@ def parse_csv(text):
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """After every test, this process has no child left, running or not
-    reaped (the heatmap helper of `evaluate` included)."""
+    reaped (the writer helper of `evaluate` and `predict` included)."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -355,6 +356,8 @@ def test_config_line_gives_the_flags_outputs_and_the_flag_wins(
     ("clusters", "0", "--clusters must be >= 1"),
     ("clamp", "1", "--clamp expects lo:hi"),
     ("clamp", "a:b", "--clamp expects numeric lo:hi"),
+    ("backend", "foo", None),
+    ("mode", "foo", None),
 ])
 def test_bad_config_value_fails_naming_key_and_value(
         key, value, message, workdir, tmp_path, capsys):
@@ -577,14 +580,26 @@ def test_predict_gridded_rows_equal_one_batch_call(workdir,
     np.testing.assert_allclose(batch, loop, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [1, _PREDICT_BLOCK - 1, _PREDICT_BLOCK,
-                               _PREDICT_BLOCK + 1, 2 * _PREDICT_BLOCK + 1])
+@pytest.mark.parametrize("n", sorted({
+    1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1,
+    # Just under and just over the helper threshold with the 4 output
+    # columns of the event queries and the 2 of the valued ones.
+    _HELPER_FIELDS // 4, _HELPER_FIELDS // 4 + 1,
+    _HELPER_FIELDS // 2, _HELPER_FIELDS // 2 + 1}))
 def test_predict_blocks_write_the_one_string_output(
-        n, workdir, trained_model, trained_event_model, tmp_path, capsys):
-    # Rows are written `_PREDICT_BLOCK` at a time; the bytes are those of
-    # one string holding every row, for valued, density and cell queries.
+        n, workdir, trained_model, trained_event_model, tmp_path, monkeypatch,
+        capsys):
+    # Rows are formatted `ROW_BLOCK` at a time, the second half by the
+    # writer helper past the threshold with two CPUs; the bytes are those
+    # of one string holding every row, for valued, density and cell
+    # queries, with one CPU and with two.
     rng = np.random.default_rng(n)
-    ts = np.sort(rng.uniform(0.0, 3 * DAY, n))
+    ts = rng.uniform(0.0, 3 * DAY, n)
+    # -0.0 and both sides of repr's switches to exponent notation, in the
+    # first rows and the last (the CSV is read sorted by time).
+    ts[:6] = [-0.0, 1e-4, 9.999999999999999e-05, 1.5e-310, 1e16,
+              9999999999999998.0][:n]
+    ts.sort()
     xs = rng.uniform(0.0, 8.0, (n, 2))
     vq, eq = tmp_path / "v.csv", tmp_path / "e.csv"
     vq.write_text("t\n" + "".join(f"{t!r}\n" for t in ts.tolist()),
@@ -605,11 +620,72 @@ def test_predict_blocks_write_the_one_string_output(
           "--grid-spatial", "0.5", "--grid-temporal", "1800"],
          np.column_stack([ts, xs, cells])),
     ]
+    started, real_popen = [], cli.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
     for flags, table in runs:
-        assert main(["predict", *flags]) == 0
         header = ["t", "x1", "x2"][:table.shape[1] - 1] + ["prediction"]
         lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
-        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            helped = cpus == 2 and table.size > _HELPER_FIELDS
+            # Without a helper due, starting one would fail.
+            monkeypatch.setattr(cli, "Popen", popen if helped else None)
+            assert main(["predict", *flags]) == 0
+            assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+    assert [p.returncode for p in started] == [0] * sum(
+        table.size > _HELPER_FIELDS for _, table in runs)
+
+
+@pytest.mark.parametrize("script", [
+    "import sys; sys.stdin.buffer.read(); sys.exit('out of memory')",
+    "import sys; sys.exit('out of memory')"])  # before its request
+def test_predict_reports_a_failing_helper(trained_model, tmp_path,
+                                          monkeypatch, capsys, script):
+    queries = tmp_path / "v.csv"
+    queries.write_text("t\n" + "".join(
+        f"{t!r}\n" for t in range(_HELPER_FIELDS // 2 + 1)), encoding="utf-8")
+    real_popen = cli.Popen
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "Popen", lambda argv, **kwargs: real_popen(
+        [argv[0], "-c", script], **kwargs))
+    rc = main(["predict", "--model", str(trained_model),
+               "--input", str(queries)])
+    assert (rc, capsys.readouterr().err) == (1, "error: out of memory\n")
+
+
+_HEAD_PROBE = """
+import os, sys
+from hypertime.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}  # a helper, also on one CPU
+rc = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(rc)
+sys.exit(3)  # a child left behind
+"""
+
+
+def test_predict_into_a_pipe_closed_early_exits_quietly(trained_model,
+                                                        tmp_path):
+    queries = tmp_path / "v.csv"
+    queries.write_text("t\n" + "".join(
+        f"{t!r}\n" for t in range(_HELPER_FIELDS)), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(hypertime.__file__))
+    with subprocess.Popen(
+            [sys.executable, "-c", _HEAD_PROBE, "predict", "--model",
+             str(trained_model), "--input", str(queries)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # as `head -1` does
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), first, err) == (
+            1, b"t,prediction\n", b"")
 
 
 def test_predict_over_long_field_fails_cleanly(workdir, trained_model,
@@ -893,7 +969,7 @@ def test_evaluate_writes_one_heatmap_per_fold_and_edge_pair(
 
 
 def _cpus(monkeypatch, n):
-    """Let `evaluate` see `n` CPUs: 2 turns its heatmap helper on, 1 off."""
+    """Let the CLI see `n` CPUs: 2 turns its writer helper on, 1 off."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
@@ -918,7 +994,7 @@ def test_heatmap_writer_matches_per_element_repr(tmp_path, monkeypatch,
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
-        with cli._heatmap_helper(len(maps)) as helper:
+        with cli._helper(True) as helper:
             assert (helper is None) == (cpus == 1)
             _dump_heatmaps(maps, str(out), False, helper)
         for fold, _, _, _, obs, pred in maps:
