@@ -12,7 +12,10 @@ import contextlib
 import itertools
 import json
 import os
+import pickle
+import signal
 import sys
+import warnings
 from subprocess import PIPE, Popen
 
 import numpy as np
@@ -21,8 +24,8 @@ from .baselines import BaselineConfig, fremen_predictor, hist_predictor, \
     mean_predictor
 from .clustering import FitConfig
 from .dataset import EVENT, VALUED, load_csv, split_by_time
-from .evaluation import grid_count, pairwise_ttests, rmse, sweep, \
-    per_cell_baseline
+from .evaluation import _default_scorer, grid_count, pairwise_ttests, rmse, \
+    sweep, per_cell_baseline
 from .model import BuildConfig, build, build_event, load_model, \
     predict_cell_count, predict_counts, predict_mean, density, save_model, \
     training_grid
@@ -300,24 +303,27 @@ def _evaluate_valued(opts, train, folds, clamp):
                                     opts.candidates)
     best_hist = sweep(head, tail, lambda tr, n: hist_predictor(tr, n),
                       opts.hist_range).best
-    best_fremen = sweep(
-        head, tail,
-        lambda tr, m: fremen_predictor(tr, m, candidates),
-        opts.fremen_range).best
+    best_fremen = sweep(head, tail, lambda tr, m: fremen_predictor(
+        tr, m, candidates), opts.fremen_range).best
 
     # HyT-EM and HyT-KM both run, whatever --backend says.
     def em_cfg(k):
         return _build_config(opts, VALUED, backend="em", clusters=k)
 
-    if isinstance(opts.clusters, int):
-        em_k = opts.clusters
-    else:
-        em_k = sweep(head, tail, lambda tr, k: build(tr, em_cfg(k)),
-                     opts.clusters_range).best
-
-    em_model = build(train, em_cfg(em_k))
-    km_model = build(train, _build_config(opts, VALUED, backend="km",
-                                          clusters="auto"))
+    # With two CPUs a child runs the last half of the tasks (HyT-KM and, by
+    # default, k = 8) while this process runs the rest and the final EM.
+    fixed = isinstance(opts.clusters, int)
+    tasks = [lambda: build(train, em_cfg(opts.clusters))] if fixed else [
+        lambda k=k: _default_scorer(build(head, em_cfg(k)), tail)
+        for k in opts.clusters_range]
+    tasks.append(lambda: build(train, _build_config(
+        opts, VALUED, backend="km", clusters="auto")))
+    with _forked(tasks) as outcomes:
+        em_k = opts.clusters if fixed else sweep(
+            head, tail, lambda tr, k: next(outcomes)(), opts.clusters_range,
+            scorer=lambda score, _validation: score).best
+        em_model = next(outcomes)() if fixed else build(train, em_cfg(em_k))
+        km_model = next(outcomes)()
     predictors = {
         "Mean": mean_predictor(train),
         f"Hist_{best_hist}": hist_predictor(train, best_hist),
@@ -417,14 +423,72 @@ def _heatmap_name(fold, spatial_edge, temporal_edge):
     return f"heatmap_fold{fold}_s{spatial_edge:g}_t{temporal_edge:g}.dat"
 
 
+def _two_cpus():
+    """Whether this process may run on two or more CPUs."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) >= 2
+
+
+@contextlib.contextmanager
+def _forked(tasks):
+    """An iterator of a callable per task: `task()`, or its exception raised.
+    With `os.fork` and two CPUs, a child runs the last half of the tasks,
+    pickles each result and its recorded warnings into a pipe, writes
+    nothing else and leaves by `os._exit`; such a task's callable reads its
+    result and issues its warnings as `warnings.warn` did.  The child is
+    killed and reaped on leaving."""
+    theirs = len(tasks) // 2
+    if not (theirs and hasattr(os, "fork") and _two_cpus()):
+        yield iter(tasks)
+        return
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                for task in tasks[-theirs:]:
+                    with warnings.catch_warnings(record=True) as seen:
+                        warnings.simplefilter("always")
+                        try:
+                            result = task(), None
+                        except Exception as exc:  # noqa: BLE001 - re-raised
+                            result = None, exc
+                    pickle.dump((*result, [(w.message, w.category, w.filename,
+                                            w.lineno) for w in seen]), out)
+                    out.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+
+    def received():
+        try:
+            value, exc, seen = pickle.load(results)
+        except (EOFError, pickle.UnpicklingError):
+            raise CliError("the build process ended before its results")
+        for warning in seen:  # message, category, filename, line number
+            module = next((vars(m) for m in list(sys.modules.values())
+                           if getattr(m, "__file__", None) == warning[2]), {})
+            warnings.warn_explicit(*warning, module.get("__name__"),
+                                   module.setdefault("__warningregistry__", {}))
+        if exc is not None:
+            raise exc
+        return value
+
+    with open(read, "rb") as results:
+        try:
+            yield iter(tasks[:-theirs] + [received] * theirs)
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 @contextlib.contextmanager
 def _helper(wanted):
     """`writer` run as a script for `evaluate` and `predict`, if `wanted`
     and two CPUs and the interpreter's files are there, else None; reaped
     on leaving, also on an error, as closing its pipes ends it."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    if not wanted or cpus < 2 or not all(
+    if not wanted or not _two_cpus() or not all(
             map(os.path.isfile, (sys.executable, writer.__file__))):
         yield None
         return
@@ -443,8 +507,10 @@ def _helper(wanted):
 def _helper_output(helper):
     """The bytes the helper wrote to stdout, once it exited with status 0;
     else its stderr as a `CliError`."""
-    out, err = helper.communicate()
-    if helper.returncode != 0:
+    with contextlib.suppress(OSError):
+        helper.stdin.close()
+    out, err = helper.stdout.read(), helper.stderr.read()
+    if helper.wait() != 0:
         raise CliError(err.decode(errors="replace").strip()
                        or "the writer helper failed")
     return out
@@ -509,24 +575,18 @@ def cmd_evaluate(args, opts) -> int:
 
     # Started this early, the helper's start-up hides behind the model work.
     with _helper(len(maps) >= 2) as helper:
-        if train.mode == VALUED:
-            per_fold, parameters, heatmaps = _evaluate_valued(
-                opts, train, folds, clamp)
-        else:
-            per_fold, parameters, heatmaps = _evaluate_event(
-                opts, train, folds)
+        per_fold, parameters, heatmaps = _evaluate_valued(
+            opts, train, folds, clamp) if train.mode == VALUED \
+            else _evaluate_event(opts, train, folds)
 
-        alpha = opts.alpha
-        lines = ["method,fold,error"]
-        for name in per_fold:
-            for fi, err in enumerate(per_fold[name]):
-                lines.append(f"{name},{fi},{_fmt(err)}")
+        lines = ["method,fold,error"] + [
+            f"{name},{fi},{_fmt(err)}"
+            for name, errs in per_fold.items() for fi, err in enumerate(errs)]
         writer.write_text(errors_path, "\n".join(lines) + "\n", force)
         if run_ttests:
-            report = pairwise_ttests(per_fold, alpha=alpha)
-            payload = report.to_dict()
-            payload["alpha"] = alpha
-            payload["parameters"] = parameters
+            report = pairwise_ttests(per_fold, alpha=opts.alpha)
+            payload = {**report.to_dict(), "alpha": opts.alpha,
+                       "parameters": parameters}
             writer.write_text(report_path, json.dumps(
                 payload, indent=2, sort_keys=True) + "\n", force)
         _dump_heatmaps(heatmaps, out_dir, force, helper)

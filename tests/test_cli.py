@@ -8,8 +8,12 @@ the suite fast; statistical quality is covered elsewhere.
 
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -969,9 +973,9 @@ def test_evaluate_writes_one_heatmap_per_fold_and_edge_pair(
 
 
 def _cpus(monkeypatch, n):
-    """Let the CLI see `n` CPUs: 2 turns its writer helper on, 1 off."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
+    """Let the CLI see `n` CPUs: 2 turns its writer helper and its forked
+    builds on, 1 off."""
+    monkeypatch.setattr(cli, "_two_cpus", lambda: n >= 2)
 
 
 @pytest.mark.parametrize("n_spatial", [(3, 2), (4,), ()])
@@ -1123,6 +1127,185 @@ def test_evaluate_rejects_clamp_for_event_data(workdir, eval_config, tmp_path,
         assert rc == 1
         assert "--clamp" in capsys.readouterr().err
         assert not (out / "errors.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# valued evaluate's builds in a forked child
+
+_CPUS_PROBE = """
+import sys
+import hypertime.cli as cli
+cli._two_cpus = lambda: sys.argv[1] == "2"
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+# The child's task ends while this process sleeps in its own.
+_UNFLUSHED_PROBE = """
+import sys, time
+import hypertime.cli as cli
+cli._two_cpus = lambda: True
+sys.stdout.write("unflushed out;")
+sys.stderr.write("unflushed err;")
+with cli._forked([lambda: time.sleep(0.5), lambda: 1]) as outcomes:
+    print([outcome() for outcome in outcomes])
+"""
+
+
+def _probe(script, flags, *argv):
+    """`script` run with the interpreter `flags` and `argv`, its standard
+    streams buffered as they are into pipes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hypertime.__file__))
+    done = subprocess.run([sys.executable, *flags, "-c", script, *argv],
+                          env=env, capture_output=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_forked_child_leaves_the_streams_alone():
+    assert _probe(_UNFLUSHED_PROBE, ["-W", "error"]) == (
+        0, b"unflushed out;[None, 1]\n", b"unflushed err;")
+
+
+def test_forked_tasks_give_what_the_tasks_give(monkeypatch):
+    def warns():
+        warnings.warn("twice")
+        warnings.warn("twice")
+        return os.getpid()
+
+    def fails():
+        raise ValueError("no fit")
+
+    tasks = [os.getpid, fails, warns, fails, warns]
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        got = []
+        with cli._forked(tasks) as outcomes:
+            for outcome in outcomes:
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    try:
+                        got.append(outcome())
+                    except ValueError as exc:
+                        got.append(str(exc))
+                got.append([str(w.message) for w in seen])
+        me, last = os.getpid(), got.pop(-2)
+        assert got == [me, [], "no fit", [], me, ["twice"] * 2, "no fit", [],
+                       ["twice"] * 2]
+        # With two CPUs, the last two tasks ran in the child.
+        assert (last == me) == (cpus == 1)
+
+
+@pytest.mark.parametrize("flags, config, filters", [
+    ([], "", "always"),
+    (["--clusters", "3"], "", "always"),
+    # k = 1000 fails in this process and k = 600 in the child; every
+    # build warns at each of its two calibrations.
+    ([], "clusters_range = 2,1000,3,600\n", "always"),
+    ([], "clusters_range = 2,1000,3,600\n", "default"),  # each warns once
+])
+def test_valued_evaluate_bytes_do_not_depend_on_the_cpus(
+        workdir, eval_config, tmp_path, flags, config, filters):
+    train = workdir / "train.csv"
+    if config:
+        zero = daily_series(3, 1200.0, 0.1, 7)
+        train = tmp_path / "zero.csv"
+        write_valued(train, Dataset(zero.times, zero.coords, 0 * zero.values))
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(eval_config.read_text() + config, encoding="utf-8")
+    argv = ["evaluate", "--input", str(train),
+            "--test", str(workdir / "fold1.csv"),
+            "--test", str(workdir / "fold2.csv"), "--config", str(cfg),
+            "--max-h", "1", "--out-dir", str(tmp_path / "out"), "--force",
+            *flags]
+    runs = []
+    for cpus in (1, 2):
+        rc, out, err = _probe(_CPUS_PROBE, ["-W", filters], str(cpus),
+                              *argv)
+        runs.append((rc, out, err, *[(tmp_path / "out" / name).read_bytes()
+                                     for name in ("errors.csv",
+                                                  "ttests.json")]))
+    assert runs[0] == runs[1]
+    rc, err = runs[0][0], runs[0][2]
+    assert rc == 0
+    if config:
+        lines = err.decode().splitlines()
+        failed = [ln for ln in lines if "failed: fewer points" in ln]
+        assert [ln.split("parameter ")[1][:4] for ln in failed] == [
+            "1000", "600 "]
+        zero = sum("Warning: all training values are zero" in ln
+                   for ln in lines)
+        assert zero == 1 if filters == "default" else zero > 4
+
+
+def _evaluate_fixed(workdir, eval_config, out):
+    return main(["evaluate", "--input", str(workdir / "train.csv"),
+                 "--test", str(workdir / "fold1.csv"),
+                 "--test", str(workdir / "fold2.csv"),
+                 "--config", str(eval_config), "--clusters", "1",
+                 "--max-h", "0", "--out-dir", str(out)])
+
+
+def _in_child(monkeypatch, child, parent=None):
+    """Make `cli.build` call `child` in a forked child and `parent`, if
+    given, in this process, before building."""
+    me, real_build = os.getpid(), cli.build
+
+    def build(*args):
+        if os.getpid() != me:
+            child()
+        elif parent is not None:
+            parent()
+        return real_build(*args)
+
+    monkeypatch.setattr(cli, "build", build)
+
+
+def _truncated_dump(result, stream):
+    stream.write(pickle.dumps(result)[:5])
+    stream.flush()
+    os._exit(0)
+
+
+@pytest.mark.parametrize("ending", ["signal", "exit", "truncated"])
+def test_valued_evaluate_reports_a_failed_child(
+        workdir, eval_config, tmp_path, monkeypatch, capsys, ending):
+    _cpus(monkeypatch, 2)
+    if ending == "truncated":
+        monkeypatch.setattr(cli.pickle, "dump", _truncated_dump)
+    else:
+        _in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL)
+                  if ending == "signal" else os._exit(3))
+    assert _evaluate_fixed(workdir, eval_config, tmp_path / "out") == 1
+    assert capsys.readouterr() == (
+        "", "error: the build process ended before its results\n")
+    assert not (tmp_path / "out" / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("raised", [
+    cli.CliError("stopped"), ValueError("stopped"), KeyboardInterrupt()])
+def test_valued_evaluate_kills_the_child_when_stopped(
+        workdir, eval_config, tmp_path, monkeypatch, capsys, raised):
+    waited, real_waitpid = [], os.waitpid
+
+    def waitpid(pid, options):
+        waited.append(real_waitpid(pid, options)[1])
+        return pid, waited[-1]
+
+    def stop():
+        raise raised
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    _in_child(monkeypatch, lambda: time.sleep(60), stop)
+    if isinstance(raised, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            _evaluate_fixed(workdir, eval_config, tmp_path / "out")
+    else:
+        assert _evaluate_fixed(workdir, eval_config, tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: stopped\n"
+    # Reaped, and killed, not left to finish its 60 s.
+    assert len(waited) == 1 and os.WIFSIGNALED(waited[0])
+    assert os.WTERMSIG(waited[0]) == signal.SIGKILL
 
 
 # ---------------------------------------------------------------------------
