@@ -26,9 +26,9 @@ from .clustering import FitConfig
 from .dataset import EVENT, VALUED, load_csv, split_by_time
 from .evaluation import _default_scorer, grid_count, pairwise_ttests, rmse, \
     sweep, per_cell_baseline
-from .model import BuildConfig, build, build_event, load_model, \
-    predict_cell_count, predict_counts, predict_mean, density, save_model, \
-    training_grid
+from .model import BuildConfig, TrainingWindow, build, build_event, \
+    load_model, predict_cell_count, predict_counts, predict_mean, density, \
+    save_model, training_grid
 from .spectral import ResidualSeries, default_candidates, spectrum
 from . import writer
 
@@ -347,69 +347,69 @@ def _evaluate_valued(opts, train, folds, clamp):
 
 
 def _evaluate_event(opts, train, folds):
-    spatial_edge, temporal_edge = opts.grid_spatial, opts.grid_temporal
+    edges = opts.grid_spatial, opts.grid_temporal
     cfg = _build_config(opts, EVENT)
-    model = build_event(train, cfg)
-    candidates = default_candidates(train.duration, cfg.longest_period,
-                                    cfg.n_candidates)
+    window = TrainingWindow.of(train)  # the one the build records
 
-    head, tail = _validation_split(train)
-    val_spec = training_grid(model.window, float(tail.times.min()),
-                             float(tail.times.max()), spatial_edge,
-                             temporal_edge)
-    val_counts = grid_count(tail, val_spec)
+    def grid_of(data, pair):
+        return training_grid(window, float(data.times.min()),
+                             float(data.times.max()), *pair)
 
-    def baseline_factory(kind):
-        def make(tr, p):
-            bc = BaselineConfig(kind=kind, n_intervals=max(p, 1),
-                                m_components=max(p, 0))
-            return per_cell_baseline(tr, val_spec, bc, candidates)
-        return make
+    def swept_baselines():
+        """The swept Hist n and FreMEn m, and each one's error per fold."""
+        candidates = default_candidates(train.duration, cfg.longest_period,
+                                        cfg.n_candidates)
+        head, tail = _validation_split(train)
+        val_spec = grid_of(tail, edges)
+        val_counts = grid_count(tail, val_spec).reshape(-1)
 
-    def grid_scorer(predicted, _validation):
-        return rmse(predicted.reshape(-1), val_counts.reshape(-1))
+        def best(kind, params):
+            def make(tr, p):
+                return per_cell_baseline(tr, val_spec, BaselineConfig(
+                    kind=kind, n_intervals=max(p, 1), m_components=max(p, 0)),
+                    candidates)
+            return sweep(head, tail, make, params, scorer=lambda predicted, _:
+                         rmse(predicted.reshape(-1), val_counts)).best
 
-    best_hist = sweep(head, tail, baseline_factory("hist"), opts.hist_range,
-                      scorer=grid_scorer).best
-    best_fremen = sweep(head, tail, baseline_factory("fremen"),
-                        opts.fremen_range, scorer=grid_scorer).best
+        n, m = best("hist", opts.hist_range), best("fremen", opts.fremen_range)
+        methods = {f"Hist_{n}": BaselineConfig(kind="hist", n_intervals=n),
+                   f"FreMEn_{m}": BaselineConfig(kind="fremen", m_components=m)}
+        errors = {name: [] for name in methods}
+        for fold in folds:
+            spec = grid_of(fold, edges)
+            observed = grid_count(fold, spec).reshape(-1)
+            for name, bc in methods.items():
+                errors[name].append(rmse(per_cell_baseline(
+                    train, spec, bc, candidates).reshape(-1), observed))
+        return n, m, errors
+
+    # With two CPUs a child runs the swept baselines while this process
+    # builds; Mean has no sweep to wait for and stays here.
+    with _forked([lambda: build_event(train, cfg),
+                  swept_baselines]) as outcomes:
+        model = next(outcomes)()
+        best_hist, best_fremen, swept = next(outcomes)()
 
     hyt_name = f"HyT-{cfg.fit.backend.upper()}"
-    methods = {
-        hyt_name: None,
-        "Mean": BaselineConfig(kind="mean"),
-        f"Hist_{best_hist}": BaselineConfig(kind="hist", n_intervals=best_hist),
-        f"FreMEn_{best_fremen}": BaselineConfig(kind="fremen",
-                                                m_components=best_fremen),
-    }
-    per_fold = {name: [] for name in methods}
+    per_fold = {hyt_name: [], "Mean": []}
     heatmaps = []
     edge_pairs = _edge_pairs(opts)
     for fi, fold in enumerate(folds):
-        span = float(fold.times.min()), float(fold.times.max())
         grids = {}  # (spec, observed, HyT counts) per edge pair
-        for pair in [(spatial_edge, temporal_edge)] + edge_pairs:
+        for pair in [edges] + edge_pairs:
             if pair not in grids:
-                spec = training_grid(model.window, *span, *pair)
+                spec = grid_of(fold, pair)
                 grids[pair] = (spec, grid_count(fold, spec),
                                predict_counts(model, spec))
-        spec, observed, hyt = grids[spatial_edge, temporal_edge]
-        predictions = {hyt_name: hyt}
-        for name, bc in methods.items():
-            if bc is None:
-                continue
-            predictions[name] = per_cell_baseline(train, spec, bc,
-                                                  candidates)
-        for name in methods:
+        spec, observed, hyt = grids[edges]
+        mean = per_cell_baseline(train, spec, BaselineConfig(kind="mean"))
+        for name, predicted in ((hyt_name, hyt), ("Mean", mean)):
             per_fold[name].append(
-                rmse(predictions[name].reshape(-1), observed.reshape(-1)))
+                rmse(predicted.reshape(-1), observed.reshape(-1)))
         heatmaps += [(fi, se, te, *grids[se, te]) for se, te in edge_pairs]
-    parameters = {
-        "hist_n": best_hist,
-        "fremen_m": best_fremen,
-        "clusters": model.mixture.n,
-    }
-    return per_fold, parameters, heatmaps
+    per_fold.update(swept)
+    return per_fold, {"hist_n": best_hist, "fremen_m": best_fremen,
+                      "clusters": model.mixture.n}, heatmaps
 
 
 def _edge_pairs(opts):
@@ -485,9 +485,10 @@ def _forked(tasks):
 
 @contextlib.contextmanager
 def _helper(wanted):
-    """`writer` run as a script for `evaluate` and `predict`, if `wanted`
-    and two CPUs and the interpreter's files are there, else None; reaped
-    on leaving, also on an error, as closing its pipes ends it."""
+    """`writer` run as a script, the helper that formats the second half
+    of `predict`'s rows, if `wanted` and two CPUs and the interpreter's
+    files are there, else None; reaped on leaving, also on an error, as
+    closing its pipes ends it."""
     if not wanted or not _two_cpus() or not all(
             map(os.path.isfile, (sys.executable, writer.__file__))):
         yield None
@@ -516,26 +517,40 @@ def _helper_output(helper):
     return out
 
 
-def _dump_heatmaps(heatmaps, out_dir, force, helper=None):
-    """Write the heatmaps; a `helper` writes the second half by cells."""
+def _dump_heatmaps(heatmaps, out_dir, force):
+    """Write the heatmaps.  Two or more are split by cell count into two
+    parts, and with two CPUs a forked child writes the second (`_forked`);
+    once both parts are done, the first error in file order is raised."""
     files = [(os.path.join(out_dir, _heatmap_name(fi, se, te)),
               [spec.spatial_centers(d).tolist()
                for d in range(spec.spatial_dim)],
               spec.temporal_centers.tolist(),
-              np.ascontiguousarray(obs, dtype=float).reshape(-1),
-              np.ascontiguousarray(pred, dtype=float).reshape(-1))
+              np.asarray(obs, dtype=float).reshape(-1),
+              np.asarray(pred, dtype=float).reshape(-1))
              for fi, se, te, spec, obs, pred in heatmaps]
-    mine = len(files)
-    if helper is not None and mine >= 2:
+    parts = [files]
+    if len(files) >= 2:
         cells = list(itertools.accumulate(f[-1].size for f in files))
         mine = min(range(1, len(files)),
                    key=lambda k: abs(2 * cells[k - 1] - cells[-1]))
-        with contextlib.suppress(BrokenPipeError):  # its exit says why
-            writer.send(helper.stdin, files[mine:], force)
-    for path, *grid in files[:mine]:
-        writer.write_text(path, writer.heatmap_blocks(*grid), force)
-    if mine < len(files):
-        _helper_output(helper)
+        parts = [files[:mine], files[mine:]]
+    failures = []
+    try:
+        with _forked([lambda part=part: [
+                writer.write_text(path, writer.heatmap_blocks(*grid), force)
+                for path, *grid in part] for part in parts]) as outcomes:
+            for outcome in outcomes:
+                try:
+                    outcome()
+                except Exception as exc:  # noqa: BLE001 - raised below
+                    failures.append(exc)
+    finally:
+        # A child killed mid-write leaves its temporary file behind.
+        for path, *_ in itertools.chain(*parts[1:]):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
+    if failures:
+        raise failures[0]
 
 
 def cmd_evaluate(args, opts) -> int:
@@ -573,23 +588,21 @@ def cmd_evaluate(args, opts) -> int:
         if os.path.exists(path) and not force:
             raise CliError(f"{path} exists; pass --force to overwrite")
 
-    # Started this early, the helper's start-up hides behind the model work.
-    with _helper(len(maps) >= 2) as helper:
-        per_fold, parameters, heatmaps = _evaluate_valued(
-            opts, train, folds, clamp) if train.mode == VALUED \
-            else _evaluate_event(opts, train, folds)
+    per_fold, parameters, heatmaps = _evaluate_valued(
+        opts, train, folds, clamp) if train.mode == VALUED \
+        else _evaluate_event(opts, train, folds)
 
-        lines = ["method,fold,error"] + [
-            f"{name},{fi},{_fmt(err)}"
-            for name, errs in per_fold.items() for fi, err in enumerate(errs)]
-        writer.write_text(errors_path, "\n".join(lines) + "\n", force)
-        if run_ttests:
-            report = pairwise_ttests(per_fold, alpha=opts.alpha)
-            payload = {**report.to_dict(), "alpha": opts.alpha,
-                       "parameters": parameters}
-            writer.write_text(report_path, json.dumps(
-                payload, indent=2, sort_keys=True) + "\n", force)
-        _dump_heatmaps(heatmaps, out_dir, force, helper)
+    lines = ["method,fold,error"] + [
+        f"{name},{fi},{_fmt(err)}"
+        for name, errs in per_fold.items() for fi, err in enumerate(errs)]
+    writer.write_text(errors_path, "\n".join(lines) + "\n", force)
+    if run_ttests:
+        report = pairwise_ttests(per_fold, alpha=opts.alpha)
+        payload = {**report.to_dict(), "alpha": opts.alpha,
+                   "parameters": parameters}
+        writer.write_text(report_path, json.dumps(
+            payload, indent=2, sort_keys=True) + "\n", force)
+    _dump_heatmaps(heatmaps, out_dir, force)
     print(f"evaluation written to {out_dir}")
     if run_ttests:
         for a, b in report.edges:

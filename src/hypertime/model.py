@@ -93,6 +93,12 @@ class TrainingWindow:
         object.__setattr__(self, "spatial_hi",
                            np.atleast_1d(np.asarray(self.spatial_hi, float)))
 
+    @classmethod
+    def of(cls, data: Dataset) -> "TrainingWindow":
+        """The bounding box of `data`'s points and times."""
+        return cls(data.coords.min(axis=0), data.coords.max(axis=0),
+                   float(data.times.min()), float(data.times.max()))
+
 
 @dataclass(frozen=True)
 class BuildStep:
@@ -423,14 +429,9 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
 def _prepare(train: Dataset, cfg: BuildConfig):
     """Spatial stats, standardized data, training window and candidate
     periods shared by the build loop and cluster-count selection."""
-    if train.spatial_dim:
-        stats = SpatialStats.from_dataset(train)
-        lo, hi = train.coords.min(axis=0), train.coords.max(axis=0)
-    else:
-        stats = SpatialStats.identity(0)
-        lo = hi = np.empty(0)
-    window = TrainingWindow(lo, hi, float(train.times.min()),
-                            float(train.times.max()))
+    stats = (SpatialStats.from_dataset(train) if train.spatial_dim
+             else SpatialStats.identity(0))
+    window = TrainingWindow.of(train)
     try:
         candidates = default_candidates(train.duration, cfg.longest_period,
                                         cfg.n_candidates)

@@ -1,13 +1,12 @@
 """Output files: write-then-rename, and the text of heatmaps and CSV rows.
 
-Stdlib only: `evaluate` and `predict` also run this file as a script, a
-second interpreter that formats part of their output while they format
-the rest.  Both apply the same routine's `repr` to the same doubles, so
-the bytes do not depend on the process."""
+Stdlib only: `predict` also runs this file as a script, the writer
+helper, a second interpreter that formats the rows past the midpoint
+while `predict` formats the rest.  Both apply the same routine's `repr`
+to the same doubles, so the bytes do not depend on the process."""
 
 import array
 import itertools
-import json
 import os
 import sys
 
@@ -60,22 +59,11 @@ def heatmap_blocks(axes, times, obs, pred):
             list(map(repr, pred[cell].tolist()))))
 
 
-def send(stream, files, force):
-    """Request `files`, each ``(path, axes, times, obs, pred)`` with
-    C-contiguous float64 `obs` and `pred`, from `main` on the binary
-    `stream`: one JSON line, then each file's two arrays as raw bytes."""
-    head = [{"path": path, "axes": axes, "times": times, "cells": len(pred)}
-            for path, axes, times, _, pred in files]
-    stream.write(json.dumps({"force": force, "files": head}).encode() + b"\n")
-    stream.writelines(a for *_, obs, pred in files for a in (obs, pred))
-    stream.flush()
-
-
 def send_rows(stream, columns):
     """Request the `csv_rows` text of `columns`, C-contiguous float64
-    arrays of one length (or a 2-D array's rows), from `main`."""
-    head = {"rows": len(columns[0]), "columns": len(columns)}
-    stream.write(json.dumps(head).encode() + b"\n")
+    arrays of one length (or a 2-D array's rows), from `main`: an ASCII
+    line ``<rows> <columns>``, then the arrays as raw bytes."""
+    stream.write(f"{len(columns[0])} {len(columns)}\n".encode())
     stream.writelines(columns)
     stream.flush()
 
@@ -87,24 +75,21 @@ def _doubles(stream, n):
 
 
 def main(stream, out):
-    """Write the heatmaps, or to the binary `out` the rows' text, that `send`
-    or `send_rows` requested on `stream`, if any.  The request is read
-    whole and the text kept until complete, so neither process waits on
-    the other while both format."""
+    """Write to the binary `out` the rows' text that `send_rows` requested
+    on `stream`, if any.  The request is read whole and the text kept
+    until complete, so neither process waits on the other while both
+    format."""
     line = stream.readline()
-    request = json.loads(line) if line else {"files": []}
-    if "rows" in request:
-        n, width = request["rows"], request["columns"]
-        values = _doubles(stream, n * width)
-        out.writelines([block.encode() for block in csv_rows(
-            [values[i * n:(i + 1) * n] for i in range(width)])])
-        out.flush()
+    if not line:
         return
-    files = [(f, _doubles(stream, 2 * f["cells"])) for f in request["files"]]
-    for f, cells in files:
-        write_text(f["path"], heatmap_blocks(
-            f["axes"], f["times"], cells[:f["cells"]], cells[f["cells"]:]),
-            request["force"])
+    try:
+        n, width = map(int, line.split())
+    except ValueError:
+        raise ValueError(f"bad request header {line[:80]!r}") from None
+    values = _doubles(stream, n * width)
+    out.writelines([block.encode() for block in csv_rows(
+        [values[i * n:(i + 1) * n] for i in range(width)])])
+    out.flush()
 
 
 if __name__ == "__main__":

@@ -974,8 +974,22 @@ def test_evaluate_writes_one_heatmap_per_fold_and_edge_pair(
 
 def _cpus(monkeypatch, n):
     """Let the CLI see `n` CPUs: 2 turns its writer helper and its forked
-    builds on, 1 off."""
+    children on, 1 off."""
     monkeypatch.setattr(cli, "_two_cpus", lambda: n >= 2)
+
+
+def _count_forks(monkeypatch):
+    """The pids of the children that `os.fork` makes from now on."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 @pytest.mark.parametrize("n_spatial", [(3, 2), (4,), ()])
@@ -995,12 +1009,11 @@ def test_heatmap_writer_matches_per_element_repr(tmp_path, monkeypatch,
         pred.flat[fold:fold + len(edges)] = edges[:pred.size - fold]
         maps.append((fold, 0.5, 1800.0, spec, obs, pred))
     centers = [spec.spatial_centers(k) for k in range(d)]
+    forks = _count_forks(monkeypatch)
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
-        with cli._helper(True) as helper:
-            assert (helper is None) == (cpus == 1)
-            _dump_heatmaps(maps, str(out), False, helper)
+        _dump_heatmaps(maps, str(out), False)
         for fold, _, _, _, obs, pred in maps:
             text = (out / f"heatmap_fold{fold}_s0.5_t1800.dat").read_text()
             expect = ["# " + " ".join([f"x{k + 1}" for k in range(d)]
@@ -1010,42 +1023,75 @@ def test_heatmap_writer_matches_per_element_repr(tmp_path, monkeypatch,
                 row += [spec.temporal_centers[idx[-1]], obs[idx], pred[idx]]
                 expect.append(" ".join(repr(float(v)) for v in row))
             assert text == "\n".join(expect) + "\n"
+    assert len(forks) == 1  # the two-CPU dump's child
     assert sorted(os.listdir(tmp_path / "cpus1")) == sorted(
         os.listdir(tmp_path / "cpus2"))
 
 
-def _event_evaluate(workdir, eval_config, out, *extra):
+def _event_evaluate(workdir, eval_config, out, *extra, folds=2):
     return main(["evaluate", "--input", str(workdir / "events.csv"),
-                 "--test", str(workdir / "efold1.csv"),
-                 "--test", str(workdir / "efold2.csv"),
+                 *[f"--test={workdir / f'efold{f + 1}.csv'}"
+                   for f in range(folds)],
                  "--config", str(eval_config),
                  "--clusters", "2", "--max-h", "0",
                  "--grid-spatial", "1.0", "--grid-temporal", "21600",
                  "--out-dir", str(out), *extra])
 
 
-def test_evaluate_output_bytes_do_not_depend_on_the_helper(
-        workdir, eval_config, tmp_path, monkeypatch, capsys):
-    sent = []
-    real_send = cli.writer.send
-    monkeypatch.setattr(cli.writer, "send", lambda stream, files, force: (
-        sent.append([f[0] for f in files]), real_send(stream, files, force)))
-    files = {}
+@pytest.mark.parametrize("config, folds", [
+    ("", 2),
+    # Three heatmaps per fold: the two parts differ in cells and files.
+    ("spatial_edges = 1,2,4\ntemporal_edges = 21600\n", 2),
+    ("fremen_range = 1,2,500\n", 2),  # m = 500 fails in the child's sweep
+    ("", 1),  # one heatmap: no child writes
+], ids=["defaults", "three-maps-a-fold", "failing-m", "one-fold"])
+def test_event_evaluate_bytes_do_not_depend_on_the_cpus(
+        workdir, eval_config, tmp_path, monkeypatch, capsys, config, folds):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(eval_config.read_text() + config, encoding="utf-8")
+    forks = _count_forks(monkeypatch)
+    runs = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert _event_evaluate(workdir, eval_config, out) == 0
-        files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert capsys.readouterr().err == ""
-    assert files[1] == files[2]
-    assert len(files[2]) == 4  # errors, t-tests and two heatmaps
-    # Only the two-CPU run sent its second heatmap to the helper.
-    assert sent == [[str(tmp_path / "cpus2" / "heatmap_fold1_s1_t21600.dat")]]
+        out = tmp_path / "out"
+        before = len(forks)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert _event_evaluate(workdir, cfg, out, folds=folds) == 0
+        runs.append((capsys.readouterr(),
+                     [(str(w.message), w.category, w.filename, w.lineno)
+                      for w in seen],
+                     {p.name: p.read_bytes() for p in out.iterdir()},
+                     len(forks) - before))
+        out.rename(tmp_path / f"cpus{cpus}")
+    std, seen, files, n_forks = runs[0]
+    maps = folds * (3 if "edges" in config else 1)
+    # One CPU forks nothing; two fork for the swept baselines, and for
+    # the second part of two or more heatmaps.
+    assert n_forks == 0 and runs[1][3] == 1 + (maps >= 2)
+    assert runs[1][:3] == (std, seen, files)
+    assert std.out.startswith("evaluation written to")
+    assert len(files) == 1 + (folds >= 2) + maps  # errors, t-tests, maps
+    methods = [ln.split(",")[0] for ln in
+               files["errors.csv"].decode().splitlines()[1::folds]]
+    assert [m.split("_")[0] for m in methods] == [
+        "HyT-EM", "Mean", "Hist", "FreMEn"]
+    assert [m for m, *_ in seen] == (
+        ["sweep: parameter 500 failed: m exceeds the number of candidate "
+         "periods"] if "500" in config else [])
 
 
-def test_evaluate_reports_a_failing_helper(workdir, eval_config, tmp_path,
-                                           monkeypatch, capsys):
-    # The second heatmap, the helper's, cannot replace a directory.
+def test_valued_evaluate_forks_once(workdir, eval_config, tmp_path,
+                                    monkeypatch):
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    assert run_evaluate(workdir, eval_config, tmp_path / "valued") == 0
+    assert len(forks) == 1  # its builds; it writes no heatmap
+
+
+def test_evaluate_reports_a_failing_heatmap_child(
+        workdir, eval_config, tmp_path, monkeypatch, capsys):
+    # The second heatmap, the child's, cannot replace a directory.
     errors = []
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
@@ -1061,53 +1107,114 @@ def test_evaluate_reports_a_failing_helper(workdir, eval_config, tmp_path,
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("raised, rc", [
-    (cli.CliError("stopped"), 1), (ValueError("stopped"), 1),
-    (KeyboardInterrupt(), None)])
-def test_evaluate_reaps_the_helper_when_interrupted(
-        workdir, eval_config, tmp_path, monkeypatch, capsys, raised, rc):
-    started, real_popen = [], cli.Popen
+def test_evaluate_collects_the_heatmap_child_when_its_own_part_fails(
+        workdir, eval_config, tmp_path, monkeypatch, capsys):
+    # The first heatmap, this process's, cannot replace a directory; the
+    # child still writes the second, and nothing temporary is left.
+    errors = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        (out / "heatmap_fold0_s1_t21600.dat").mkdir(parents=True)
+        assert _event_evaluate(workdir, eval_config, out, "--force") == 1
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "heatmap_fold0" in err
+        errors.append(err.replace(str(out), "OUT"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "errors.csv", "heatmap_fold0_s1_t21600.dat",
+            "heatmap_fold1_s1_t21600.dat", "ttests.json"]
+        assert (out / "heatmap_fold1_s1_t21600.dat").is_file()
+    assert errors[0] == errors[1]
 
-    def popen(*args, **kwargs):
-        started.append(real_popen(*args, **kwargs))
-        return started[-1]
 
-    def stop(*args, **kwargs):
+@pytest.mark.parametrize("stage", ["build", "dump"])
+@pytest.mark.parametrize("raised", [
+    cli.CliError("stopped"), ValueError("stopped"), KeyboardInterrupt()])
+def test_event_evaluate_kills_the_child_when_stopped(
+        workdir, eval_config, tmp_path, monkeypatch, capsys, raised, stage):
+    me, waited, real_waitpid = os.getpid(), [], os.waitpid
+    interrupted = isinstance(raised, KeyboardInterrupt)
+    out = tmp_path / "out"
+    child_tmp = out / "heatmap_fold1_s1_t21600.dat.tmp"
+
+    def waitpid(pid, options):
+        waited.append(real_waitpid(pid, options)[1])
+        return pid, waited[-1]
+
+    def stop(*args):
         raise raised
 
+    def stalled_sweep(*args, **kwargs):
+        time.sleep(60)
+
+    def heatmap_blocks(*grid, real=cli.writer.heatmap_blocks):
+        blocks = real(*grid)
+        if os.getpid() == me:
+            # An interrupt finds the child's temporary file half written.
+            deadline = time.monotonic() + 60
+            while interrupted and not child_tmp.exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            stop()
+        yield next(blocks)
+        if interrupted:
+            time.sleep(60)
+        yield from blocks
+
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "Popen", popen)
-    monkeypatch.setattr(cli, "pairwise_ttests", stop)
-    out = tmp_path / "stopped"
-    if rc is None:
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    if stage == "build":
+        monkeypatch.setattr(cli, "build_event", stop)
+        monkeypatch.setattr(cli, "sweep", stalled_sweep)
+    else:
+        monkeypatch.setattr(cli.writer, "heatmap_blocks", heatmap_blocks)
+    if interrupted:
         with pytest.raises(KeyboardInterrupt):
             _event_evaluate(workdir, eval_config, out)
     else:
-        assert _event_evaluate(workdir, eval_config, out) == rc
+        assert _event_evaluate(workdir, eval_config, out) == 1
         assert capsys.readouterr().err == "error: stopped\n"
-    # Stopped before its request, the helper saw EOF and exited cleanly.
-    assert [p.returncode for p in started] == [0]
-    assert [p.name for p in out.iterdir()] == ["errors.csv"]
+    assert len(waited) == (1 if stage == "build" else 2)
+    if stage == "build" or interrupted:  # killed, not left to finish
+        assert os.WIFSIGNALED(waited[-1])
+        assert os.WTERMSIG(waited[-1]) == signal.SIGKILL
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ([] if stage == "build" else [
+        "errors.csv", *(["heatmap_fold1_s1_t21600.dat"] * (not interrupted)),
+        "ttests.json"])
 
 
-def test_evaluate_starts_no_helper_for_fewer_than_two_heatmaps(
+def test_event_evaluate_reports_a_killed_baseline_child(
         workdir, eval_config, tmp_path, monkeypatch, capsys):
+    me, real_sweep = os.getpid(), cli.sweep
+
+    def sweep(*args, **kwargs):
+        if os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_sweep(*args, **kwargs)
+
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "Popen", None)  # starting one would fail
-    assert run_evaluate(workdir, eval_config, tmp_path / "valued") == 0
-    rc = main(["evaluate", "--input", str(workdir / "events.csv"),
-               "--test", str(workdir / "efold1.csv"),
-               "--config", str(eval_config), "--clusters", "2",
-               "--max-h", "0", "--out-dir", str(tmp_path / "one")])
-    assert rc == 0
-    assert [p.name for p in (tmp_path / "one").glob("heatmap_*")] == [
-        "heatmap_fold0_s0.5_t1800.dat"]
+    monkeypatch.setattr(cli, "sweep", sweep)
+    assert _event_evaluate(workdir, eval_config, tmp_path / "out") == 1
+    assert capsys.readouterr() == (
+        "", "error: the build process ended before its results\n")
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_heatmap_helper_without_a_request_exits_quietly():
     done = subprocess.run([sys.executable, "-I", "-S", cli.writer.__file__],
                           input=b"", capture_output=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+
+@pytest.mark.parametrize("header", [b"12\n", b"2 x\n", b"1 2 3\n",
+                                    b'{"rows": 1, "columns": 2}\n'])
+def test_writer_helper_rejects_a_bad_request_header(header):
+    done = subprocess.run([sys.executable, "-I", "-S", cli.writer.__file__],
+                          input=header + bytes(16), capture_output=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"bad request header %a\n" % header
 
 
 def test_evaluate_rejects_clamp_for_event_data(workdir, eval_config, tmp_path,
