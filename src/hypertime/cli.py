@@ -465,7 +465,7 @@ def _forked(tasks):
         try:
             value, exc, seen = pickle.load(results)
         except (EOFError, pickle.UnpicklingError):
-            raise CliError("the build process ended before its results")
+            raise CliError("the child process ended before its results")
         for warning in seen:  # message, category, filename, line number
             module = next((vars(m) for m in list(sys.modules.values())
                            if getattr(m, "__file__", None) == warning[2]), {})

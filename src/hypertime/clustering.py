@@ -229,15 +229,19 @@ class MixtureCore:
         j = 0
         for block in _blocks(cols, len(self.log_weights)):
             i, j = j, j + block.shape[1]
-            diff = block[None] - self.means[:, 1:, None]
-            # Unshifted: a max shift cannot stop these sums underflowing.
-            wq = _log_joint(diff, self.log_weights, self.rest_inv_chol,
-                            self.rest_norms)
-            wq = np.exp(wq, out=wq)
-            c = self.means[:, :1] + (self.betas[:, None] @ diff)[:, 0]
+            wq, c = self.value_parts(block)
             (wq * c).sum(axis=0, out=unscaled[i:j])
             wq.sum(axis=0, out=mass[i:j])
         return unscaled, mass
+
+    def value_parts(self, cols):
+        """``(w_j q_j, c_j)`` (k, N) at unchecked columns `cols` (rest, N)."""
+        diff = cols[None] - self.means[:, 1:, None]
+        # Unshifted: a max shift cannot stop these sums underflowing.
+        wq = _log_joint(diff, self.log_weights, self.rest_inv_chol,
+                        self.rest_norms)
+        return (np.exp(wq, out=wq),
+                self.means[:, :1] + (self.betas[:, None] @ diff)[:, 0])
 
 
 @dataclass
@@ -289,8 +293,9 @@ class MixtureModel:
         return self._core
 
     def logpdf(self, points) -> np.ndarray:
-        logs = [_logsumexp(self.core.log_joint(cols))
-                for cols in _blocks(_columns(points), self.n)]
+        with np.errstate(over="ignore"):  # too far to whiten: density 0
+            logs = [_logsumexp(self.core.log_joint(cols))
+                    for cols in _blocks(_columns(points), self.n)]
         return logs[0] if len(logs) == 1 else np.concatenate(logs)
 
     def pdf(self, points) -> np.ndarray:

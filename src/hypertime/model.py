@@ -16,10 +16,13 @@ calibrate gamma so the predicted count over the training volume equals
 the number of training events.
 
 A queried cell of one midpoint per axis is one row: its count is the
-density at its centre times its volume.  Grids and finer cells are boxes
-of spatial times temporal midpoints for `MixtureModel.product_pdf`, and a
-cell's density is the mean over its midpoints.  A collapsed spatial axis
-that leaves the calibration grid without mass is an error.
+density at its centre times its volume.  A query at a scalar time, or
+one such cell, is built as one column and evaluated by the operations a
+one-row batch makes, without the batch's blocks and repeated checks.
+Grids and finer cells are boxes of spatial times temporal midpoints for
+`MixtureModel.product_pdf`, and a cell's density is the mean over its
+midpoints.  A collapsed spatial axis that leaves the calibration grid
+without mass is an error.
 """
 
 import json
@@ -31,11 +34,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import (FitConfig, FitLog, GaussianComponent, MixtureModel,
-                         em_fit_stable, km_fit)
+                         _logsumexp, em_fit_stable, km_fit)
 from .dataset import EVENT, VALUED, Dataset, SpatialStats, standardize
 from .evaluation import GridSpec, _clearly_lower, grid_count
-from .projection import (DimensionLayout, HypertimeProjection, assemble,
-                         project_times)
+from .projection import (TWO_PI, DimensionLayout, HypertimeProjection,
+                         assemble, project_times)
 from .spectral import (WEEK_SECONDS, ResidualSeries, default_candidates,
                        prominent_period, spectral_sum)
 from .writer import write_text
@@ -139,12 +142,17 @@ class HypertimeModel:
 
 
 def _as_queries(model: HypertimeModel, x, t):
-    """(coords (n, d), times (n,), single): `single` if t is a scalar."""
-    times = _finite(t, "query time t")
-    if times.ndim > 1:
-        raise ValueError("query time t must be a scalar or 1-D, got shape "
-                         f"{times.shape}")
-    single, times = times.ndim == 0, times.reshape(-1)
+    """(coords, times, single): coords (d,) and `t` as a float if `t` is a
+    scalar (`single`), else (n, d) and (n,); coords None if d is 0."""
+    if isinstance(t, (int, float)) and math.isfinite(t):
+        single, times = True, float(t)
+    else:
+        times = _finite(t, "query time t")
+        if times.ndim > 1:
+            raise ValueError("query time t must be a scalar or 1-D, got "
+                             f"shape {times.shape}")
+        single = times.ndim == 0
+        times = float(times) if single else times
     d = model.layout.spatial_dim
     if d == 0:
         return None, times, single
@@ -154,7 +162,7 @@ def _as_queries(model: HypertimeModel, x, t):
     if single:
         if coords.size != d:
             raise ValueError(f"expected {d} spatial coordinates")
-        coords = coords.reshape(1, d)
+        coords = coords.reshape(d)
     else:
         if coords.ndim == 1 and d == 1:
             coords = coords.reshape(-1, 1)
@@ -176,34 +184,69 @@ def _require_mode(model: HypertimeModel, mode: str):
         raise ValueError(f"operation requires a {mode} model, got {model.mode}")
 
 
+def _query_column(model: HypertimeModel, coords, t: float) -> np.ndarray:
+    """One query (coords (d,), t) as a column (rest, 1), by the operations
+    of its row in `_rest_points`; a non-finite entry fails as in `logpdf`."""
+    d, scaled = model.layout.spatial_dim, TWO_PI * t
+    col = np.empty((d + 2 * model.projection.h, 1))
+    if d:
+        np.divide(np.subtract(coords, model.spatial_stats.mean),
+                  model.spatial_stats.std, out=col[:d, 0])
+    if not math.isfinite(scaled) or (d and not np.isfinite(col[:d]).all()):
+        raise ValueError("cannot evaluate a Gaussian at a non-finite point")
+    phase = np.divide(scaled, model.projection.period_array,
+                      out=col[d + 1::2, 0])
+    np.cos(phase, out=col[d::2, 0])
+    np.sin(phase, out=phase)
+    return col
+
+
+def _column_pdf(model: HypertimeModel, col) -> float:
+    """`model.mixture.pdf` at the one column `col` (dim, 1), by the same
+    operations; the max shift needs no error state where it is finite."""
+    with np.errstate(over="ignore"):  # too far to whiten: density 0
+        table = model.mixture.core.log_joint(col)
+    top = table.max(axis=0)
+    if not math.isfinite(top[0]):
+        return float(np.exp(_logsumexp(table))[0])
+    exps = np.exp(np.subtract(table, top, out=table), out=table)
+    return float(np.exp(np.log(exps.sum(axis=0)) + top)[0])
+
+
 def density(model: HypertimeModel, a=None, x=None, t=0.0):
     """Scaled density gamma * sum_j w_j u_j at the query point(s).
 
     Valued models take (a, x, t); event models take (x, t) only.
     """
     coords, times, single = _as_queries(model, x, t)
-    pts = _rest_points(model, coords, times)
     if model.mode == VALUED:
         if a is None:
             raise ValueError("valued models require the value a")
         av = np.atleast_1d(_finite(a, "query value a"))
-        if av.shape != times.shape:
+        if av.shape != (1 if single else times.size,):
             raise ValueError("a does not match the query times")
-        pts = np.hstack([av.reshape(-1, 1), pts])
     elif a is not None:
         raise ValueError("event models take no value argument")
-    out = model.gamma * model.mixture.pdf(pts)
-    return float(out[0]) if single else out
+    if single:
+        col = _query_column(model, coords, times)
+        col = col if a is None else np.concatenate(([av], col))
+        return model.gamma * _column_pdf(model, col)
+    pts = _rest_points(model, coords, times)
+    if a is not None:
+        pts = np.hstack([av.reshape(-1, 1), pts])
+    return model.gamma * model.mixture.pdf(pts)
 
 
 def predict_mean(model: HypertimeModel, x, t):
     """Expected reading at (x, t): gamma * sum_j w_j q_j(x,t) c_j(x,t)."""
     _require_mode(model, VALUED)
     coords, times, single = _as_queries(model, x, t)
-    unscaled, _ = model.mixture.core.value_terms(
-        _rest_points(model, coords, times))
-    out = model.gamma * unscaled
-    return float(out[0]) if single else out
+    core = model.mixture.core
+    if single:
+        wq, c = core.value_parts(_query_column(model, coords, times))
+        return model.gamma * float((wq * c).sum(axis=0)[0])
+    unscaled, _ = core.value_terms(_rest_points(model, coords, times))
+    return model.gamma * unscaled
 
 
 def residuals(model: HypertimeModel, data: Dataset) -> ResidualSeries:
@@ -382,28 +425,40 @@ def predict_cell_count(model: HypertimeModel, spatial_bounds, t_bounds,
 
     One cell: `spatial_bounds` is a sequence of (lo, hi) per spatial
     dimension and `t_bounds` the (start, end) of the time slice; the
-    count is returned as a float.  A batch of B cells: `spatial_bounds`
-    has shape (B, spatial_dim, 2) and `t_bounds` shape (B, 2); the
-    counts are returned as an array of length B.  A cell's density is the
-    mean over `subsample` (an int >= 1) midpoints per axis: at 1, its
-    centre's.  Cells of zero, negative or non-finite extent are rejected.
+    count is returned as a float, with the same bits as the count of a
+    one-cell batch.  A batch of B cells: `spatial_bounds` has shape (B,
+    spatial_dim, 2) and `t_bounds` shape (B, 2); the counts are returned
+    as an array of length B.  A cell's density is the mean over
+    `subsample` (an int >= 1) midpoints per axis: at 1, its centre's.
+    Cells of zero, negative or non-finite extent are rejected.
     """
     _require_mode(model, EVENT)
     s = _subsample(subsample)
     d = model.layout.spatial_dim
     tb = np.asarray(t_bounds, dtype=float)
     sb = np.asarray(spatial_bounds, dtype=float)
+    if tb.ndim not in (1, 2) or tb.shape[-1] != 2:
+        raise ValueError("t_bounds must hold one (start, end) pair per cell, "
+                         f"got shape {tb.shape}")
     single = tb.ndim == 1
     if single:
-        tb = tb.reshape(1, -1)
+        tb = tb.reshape(1, 2)
         sb = sb.reshape(1, -1, 2) if sb.size else np.empty((1, 0, 2))
     if sb.ndim != 3 or sb.shape[1:] != (d, 2):
         raise ValueError(f"cell bounds must have shape (cells, {d}, 2) to "
                          f"match the model, got {sb.shape}")
-    if tb.shape != (sb.shape[0], 2):
+    if tb.shape[0] != sb.shape[0]:
         n = min(sb.shape[0], tb.shape[0])
         raise ValueError(f"t_bounds has shape {tb.shape} but there are "
                          f"{sb.shape[0]} cells; row {n} has no match")
+    if single and s == 1:  # the batch's extents and centre, as floats
+        volume, mid = 1.0, []
+        for lo, hi in (*sb[0].tolist(), *tb.tolist()):
+            volume = volume * (hi - lo) if hi - lo > 0 else math.nan
+            mid.append(lo + 0.5 * (hi - lo))
+        if volume < math.inf:  # else the checks below name the fault
+            col = _query_column(model, mid[:d], mid[d])
+            return model.gamma * _column_pdf(model, col) * volume
     box = np.concatenate((sb, tb[:, None]), axis=1)  # (B, d + 1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         extent = box[..., 1] - box[..., 0]

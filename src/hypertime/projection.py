@@ -7,7 +7,7 @@ vectors are laid out as ``[a?] + [x1..xd] + [cos,sin per period]``; the
 :class:`DimensionLayout` records which index plays which role.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,8 @@ class HypertimeProjection:
     """Ordered set of distinct positive periods, in seconds."""
 
     periods: tuple[float, ...] = ()
+    # The same periods as a read-only float array, the phases' divisors.
+    period_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         periods = tuple(float(p) for p in self.periods)
@@ -29,6 +31,8 @@ class HypertimeProjection:
         if len(set(periods)) != len(periods):
             raise ValueError("periods must be distinct")
         object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "period_array", np.array(periods, float))
+        self.period_array.flags.writeable = False
 
     @property
     def h(self) -> int:
@@ -79,7 +83,7 @@ def project_times(times, projection: HypertimeProjection) -> np.ndarray:
     """Shape (l, 2h): cos and sin of one (l, h) phase table, interleaved."""
     times = np.asarray(times, dtype=float)
     out = np.empty((times.shape[0], 2 * projection.h))
-    phase = np.divide(TWO_PI * times[:, None], projection.periods,
+    phase = np.divide(TWO_PI * times[:, None], projection.period_array,
                       out=out[:, 1::2])  # until the sines replace them
     np.cos(phase, out=out[:, 0::2])
     np.sin(phase, out=phase)

@@ -1197,7 +1197,7 @@ def test_event_evaluate_reports_a_killed_baseline_child(
     monkeypatch.setattr(cli, "sweep", sweep)
     assert _event_evaluate(workdir, eval_config, tmp_path / "out") == 1
     assert capsys.readouterr() == (
-        "", "error: the build process ended before its results\n")
+        "", "error: the child process ended before its results\n")
     assert not list((tmp_path / "out").iterdir())
 
 
@@ -1384,7 +1384,7 @@ def test_valued_evaluate_reports_a_failed_child(
                   if ending == "signal" else os._exit(3))
     assert _evaluate_fixed(workdir, eval_config, tmp_path / "out") == 1
     assert capsys.readouterr() == (
-        "", "error: the build process ended before its results\n")
+        "", "error: the child process ended before its results\n")
     assert not (tmp_path / "out" / "errors.csv").exists()
 
 

@@ -347,7 +347,8 @@ def test_predict_scalar_and_batch(daily_data):
     assert isinstance(scalar, float)
     batch = model.predict(None, np.array([3600.0, 7200.0]))
     assert batch.shape == (2,)
-    assert batch[0] == pytest.approx(scalar)
+    assert batch[0] == scalar
+    assert model.predict(None, np.array([3600.0]))[0] == scalar
 
 
 def test_predict_spatial_dim_checked():
@@ -536,6 +537,104 @@ def test_one_midpoint_cell_is_density_at_its_centre(spatial_dim):
         assert predict_cell_count(model, bounds[i], tb[i]) == one
 
 
+@pytest.mark.parametrize("spatial_dim", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_row_queries_give_the_batch_paths_bits(spatial_dim, k):
+    # A scalar t, or one cell at subsample 1, takes the one-row path; a
+    # 1-D t, or an array of cells, the batch path.  On one row both make
+    # the same operations on the same shapes.  A row of a larger batch
+    # can differ in the last bits: a matrix product over many columns is
+    # a different BLAS routine than one over a single column.
+    rng = np.random.default_rng([spatial_dim, k])
+    valued = random_mixture_model(rng, "valued", spatial_dim, 2, k)
+    event = random_mixture_model(rng, "event", spatial_dim, 2, k)
+    bounds, tb = random_cells(rng, 40, spatial_dim)
+    d = spatial_dim
+    for i in range(40):
+        t = float(rng.uniform(0.0, 14 * DAY))
+        x = rng.normal(2.0, 2.0, d) if d else None
+        xs = x[None] if d else None
+        a = float(rng.normal(0.5, 1.0))
+        ts = np.array([t])
+        one = predict_mean(valued, x, t)
+        assert isinstance(one, float)
+        assert one == predict_mean(valued, xs, ts)[0]
+        assert one == predict_mean(valued, x, np.array(t))  # 0-d: one row
+        assert (density(valued, a=a, x=x, t=t)
+                == density(valued, a=[a], x=xs, t=ts)[0])
+        assert density(event, x=x, t=t) == density(event, x=xs, t=ts)[0]
+        for s in (1, 3):
+            one = predict_cell_count(event, bounds[i].tolist(),
+                                     tuple(tb[i].tolist()), subsample=s)
+            assert isinstance(one, float)
+            assert one == predict_cell_count(event, bounds[i:i + 1],
+                                             tb[i:i + 1], subsample=s)[0]
+
+
+def test_far_query_points_have_density_zero_without_a_warning(event_model):
+    # Standardised, these coordinates are finite, but whitening them
+    # overflows; the density there is 0.
+    far = [1e308, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density(event_model, x=far, t=0.0) == 0.0
+        got = density(event_model, x=[far, [2.0, 1.0]], t=[0.0, 0.0])
+        assert got[0] == 0.0
+        assert got[1] == density(event_model, x=[2.0, 1.0], t=0.0) > 0.0
+
+
+@pytest.mark.parametrize("spatial, t_bounds, match", [
+    ([(0.0, 1.0), (0.0, 1.0)], (0.0, 1.0, 2.0), "got shape (3,)"),
+    ([(0.0, 1.0), (0.0, 1.0)], 5.0, "got shape ()"),
+    ([[(0.0, 1.0), (0.0, 1.0)]], [(0.0, 1.0, 2.0)], "got shape (1, 3)"),
+    ([[(0.0, 1.0), (0.0, 1.0)]], [[[0.0, 1.0]]], "got shape (1, 1, 2)"),
+])
+def test_cell_time_bounds_need_a_start_end_pair_per_cell(event_model, spatial,
+                                                         t_bounds, match):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "t_bounds must hold one (start, end) pair per cell, " + match)
+            + "$"):
+        predict_cell_count(event_model, spatial, t_bounds)
+
+
+@pytest.mark.parametrize("x, t, match, batch_match", [
+    (None, 0.0, "model has spatial dimensions; x is required", None),
+    ([1.0], 0.0, "expected 2 spatial coordinates",
+     "coordinate array does not match query times"),
+    ([1.0, 2.0, 3.0], 0.0, "expected 2 spatial coordinates",
+     "coordinate array does not match query times"),
+    ([1.0, np.nan], 0.0, "query coordinate x holds a non-finite number", None),
+    ([np.inf, 1.0], 0.0, "query coordinate x holds a non-finite number", None),
+    ([1.0, 2.0], np.nan, "query time t holds a non-finite number", None),
+    ([1.0, 2.0], -np.inf, "query time t holds a non-finite number", None),
+    # Finite, but not once standardised (std 0.5) or as a phase.
+    ([1e308, 1.0], 0.0, "cannot evaluate a Gaussian at a non-finite point",
+     None),
+    ([1.0, 2.0], 1e308, "cannot evaluate a Gaussian at a non-finite point",
+     None),
+])
+def test_one_row_query_errors_are_the_batch_paths(x, t, match, batch_match):
+    rng = np.random.default_rng(31)
+    valued = random_mixture_model(rng, "valued", 2, 2, 2)
+    event = random_mixture_model(rng, "event", 2, 2, 2)
+    for model in (valued, event):
+        model.spatial_stats = SpatialStats(np.zeros(2), np.full(2, 0.5))
+    calls = [lambda x, t: predict_mean(valued, x, t),
+             lambda x, t: density(valued, a=0.5 if np.ndim(t) == 0 else [0.5],
+                                  x=x, t=t),
+             lambda x, t: density(event, x=x, t=t)]
+    batch_x = None if x is None else [x]
+    for call in calls:
+        with warnings.catch_warnings():
+            # The overflow on the way to "cannot evaluate" warns first.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+                call(x, t)
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    batch_match or match) + "$"):
+                call(batch_x, np.array([t]))
+
+
 @pytest.mark.parametrize("subsample", [2.7, "2", 2.0, None, 0, -1])
 def test_subsample_must_be_an_integer_of_at_least_one(event_model,
                                                       subsample):
@@ -558,18 +657,26 @@ def test_subsample_must_be_an_integer_of_at_least_one(event_model,
     ([(0.0, np.nan), (0.0, 1.0)], (0.0, 1.0)),
     # Finite extents whose product overflows.
     ([(-1e200, 1e200), (-1e200, 1e200)], (0.0, 1.0)),
+    ([(0.0, 1.0), (0.0, 1.0)], (np.nan, 1.0)),
+    ([(0.0, 1.0), (0.0, 1.0)], (0.0, np.inf)),
+    # Zero and negative extents.
+    ([(0.0, 1.0), (0.0, 1.0)], (1.0, 1.0)),
+    ([(0.0, 1.0), (1.0, 0.5)], (0.0, 1.0)),
+    ([(0.0, 1.0), (0.0, 1.0)], (2.0, 1.0)),
 ])
 def test_cell_extents_overflowing_or_infinite_fail_loudly(event_model,
                                                           spatial, t_bounds):
+    # Alone, a cell at subsample 1 takes the one-row path.
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning first
-        with pytest.raises(ValueError, match="^cell has zero, negative or "
-                                             "non-finite extent$"):
-            predict_cell_count(event_model, spatial, t_bounds)
-        with pytest.raises(ValueError, match="^cell 1 has zero"):
-            predict_cell_count(event_model,
-                               [[(0.0, 1.0), (0.0, 1.0)], spatial],
-                               [(0.0, 1.0), t_bounds])
+        for s in (1, 3):
+            with pytest.raises(ValueError, match="^cell has zero, negative "
+                                                 "or non-finite extent$"):
+                predict_cell_count(event_model, spatial, t_bounds, s)
+            with pytest.raises(ValueError, match="^cell 1 has zero"):
+                predict_cell_count(event_model,
+                                   [[(0.0, 1.0), (0.0, 1.0)], spatial],
+                                   [(0.0, 1.0), t_bounds], s)
 
 
 def tiled_cell_mean(model, lo, hi, t0, t1, s):

@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertime import (
     DAY_SECONDS,
@@ -179,6 +181,27 @@ def test_grouped_spectrum_on_tiled_event_residual_layout():
         best = max(range(len(kept)), key=lambda i: (amps[i], kept[i]))
         assert prominent_period(s, cand, exclude) == kept[best]
         exclude.add(kept[best])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 300),
+       st.booleans(), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_grouped_spectrum_equals_the_ungrouped_sums(seed, distinct, extra,
+                                                    binned, scale):
+    # Every series has a repeated time, so its sums are grouped per
+    # distinct time; `binned` puts the times on bin centres, as on an
+    # event residual grid.
+    rng = np.random.default_rng(seed)
+    grid = ((rng.permutation(96)[:distinct] + 0.5) * 3600.0 if binned
+            else rng.uniform(0.0, 30 * DAY_SECONDS, distinct))
+    t = rng.choice(grid, distinct + extra)
+    v = scale * (rng.normal(0.0, 1.0, t.size)
+                 + np.cos(2 * np.pi * t / DAY_SECONDS))
+    cand = [3600.0, 5000.0, 4 * 3600.0, DAY_SECONDS, WEEK_SECONDS]
+    got = dict(spectrum(ResidualSeries(t, v), cand).entries)
+    direct = ungrouped_amplitudes(t, v, cand)
+    for p, a in zip(cand, direct):
+        assert got[p] == pytest.approx(a, rel=1e-12, abs=1e-15 * scale)
 
 
 def fresh_coefficients(times, rows, periods):
